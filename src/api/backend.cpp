@@ -32,13 +32,6 @@ core::RunResult Backend::estimate(const core::HybridExecutor& executor,
   return executor.estimate(in, program);
 }
 
-std::vector<core::BatchOutcome> Backend::run_fused(
-    core::HybridExecutor& executor, const core::WavefrontSpec& spec,
-    const core::PhaseProgram& program, const core::LoweredKernel& lowered,
-    const std::vector<core::BatchMember>& members) const {
-  return executor.run_batch(spec, program, members, nullptr, &lowered);
-}
-
 namespace {
 
 /// "serial": the optimized sequential baseline. The incoming tuning is
@@ -73,11 +66,6 @@ public:
     }
     return executor.run_serial(spec, grid, &lowered);
   }
-
-  // The serial path bypasses the program interpreter entirely, so there
-  // is no fused multi-grid walk to ride; the Engine runs serial jobs one
-  // by one.
-  bool supports_fused_run() const override { return false; }
 
   core::RunResult estimate(const core::HybridExecutor& executor, const core::InputParams& in,
                            const core::PhaseProgram& program) const override {

@@ -95,23 +95,6 @@ public:
   virtual core::RunResult estimate(const core::HybridExecutor& executor,
                                    const core::InputParams& in,
                                    const core::PhaseProgram& program) const;
-
-  /// Whether this backend can execute several same-plan jobs as ONE fused
-  /// multi-grid interpretation of its program (run_fused below). True for
-  /// every program-interpreting backend; backends with a non-program
-  /// execution path ("serial") opt out and the Engine falls back to
-  /// per-job run() calls.
-  virtual bool supports_fused_run() const { return true; }
-
-  /// Fused batched execution: interprets `program` once for all members'
-  /// grids (HybridExecutor::run_batch). Each surviving member's grid and
-  /// simulated timing are bit-identical to a lone run(); members whose
-  /// control asks to stop are shed (recorded in their BatchOutcome)
-  /// without aborting the rest. Only called when supports_fused_run().
-  virtual std::vector<core::BatchOutcome> run_fused(
-      core::HybridExecutor& executor, const core::WavefrontSpec& spec,
-      const core::PhaseProgram& program, const core::LoweredKernel& lowered,
-      const std::vector<core::BatchMember>& members) const;
 };
 
 /// Process-wide, thread-safe, name-keyed backend registry. The built-in

@@ -27,8 +27,7 @@ std::int64_t steady_now_ns() {
 namespace {
 /// Constructor-time options audit. Every rejected value used to be
 /// accepted silently and misbehave later — a zero queue capacity wedges
-/// the first submit forever, a zero batch_limit makes the batch former
-/// gather empty groups, an out-of-range strip pool fails deep inside
+/// the first submit forever, an out-of-range strip pool fails deep inside
 /// program validation on the first capped compile. Failing here, with a
 /// typed error, turns all of those into a startup-time diagnosis.
 EngineOptions validated(EngineOptions options) {
@@ -37,31 +36,30 @@ EngineOptions validated(EngineOptions options) {
         "EngineOptions::queue_capacity must be >= 1 (a zero-capacity job queue can never "
         "accept a submit)");
   }
-  if (options.batch_limit == 0) {
-    throw EngineConfigError(
-        "EngineOptions::batch_limit must be >= 1 (use 1 to disable fusion, not 0)");
-  }
   if (options.strip_buffers < 1 || options.strip_buffers > 3) {
     throw EngineConfigError("EngineOptions::strip_buffers must be in [1, 3], got " +
                             std::to_string(options.strip_buffers));
   }
   return options;
 }
+
+std::size_t worker_count(const EngineOptions& options) {
+  return options.queue_workers == 0 ? 1 : options.queue_workers;
+}
+
+std::size_t shard_count(const EngineOptions& options) {
+  return options.queue_shards != 0 ? options.queue_shards
+                                   : std::max<std::size_t>(worker_count(options), 4);
+}
 }  // namespace
 
 Engine::Engine(sim::SystemProfile profile, EngineOptions options)
     : executor_(std::move(profile), options.pool_workers),
       options_(validated(options)),
-      profile_store_(profile::ProfileStoreOptions{options.profile_ring_capacity}) {
+      profile_store_(profile::ProfileStoreOptions{options.profile_ring_capacity}),
+      queue_(options_.queue_capacity, shard_count(options_)) {
   store_snapshot(std::make_shared<const CacheMap>());
-  const std::size_t workers = options_.queue_workers == 0 ? 1 : options_.queue_workers;
-  if (options_.legacy_serving_path) {
-    legacy_queue_ = std::make_unique<BoundedQueue<Job>>(options_.queue_capacity);
-  } else {
-    std::size_t shards = options_.queue_shards;
-    if (shards == 0) shards = std::max<std::size_t>(workers, 4);
-    queue_ = std::make_unique<ShardedQueue<Job>>(options_.queue_capacity, shards);
-  }
+  const std::size_t workers = worker_count(options_);
   profile_slots_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     profile_slots_.push_back(std::make_unique<ProfileSlot>());
@@ -88,8 +86,7 @@ Engine::Engine(sim::SystemProfile profile, EngineOptions options)
     // Thread spawn failed mid-constructor: ~Engine will not run, so shut
     // down the already-spawned workers here or their joinable threads
     // would std::terminate the process.
-    if (queue_) queue_->close();
-    if (legacy_queue_) legacy_queue_->close();
+    queue_.close();
     for (auto& w : workers_) {
       if (w.joinable()) w.join();
     }
@@ -132,8 +129,7 @@ void Engine::shutdown(std::chrono::nanoseconds drain_budget) {
     drain_deadline_ns_.store(steady_now_ns() + drain_budget.count(), std::memory_order_release);
   }
   std::lock_guard<std::mutex> lock(shutdown_mutex_);
-  if (queue_) queue_->close();
-  if (legacy_queue_) legacy_queue_->close();
+  queue_.close();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -190,240 +186,18 @@ void Engine::store_snapshot(std::shared_ptr<const CacheMap> next) {
                           std::memory_order_release);
 }
 
-bool Engine::queue_push(Job& job) {
-  // The sharded queue's fault sites fire before `job` is consumed, so an
-  // InjectedError propagating from here leaves the job (promise included)
-  // intact in the caller's hands. The legacy queue has no fault sites.
-  return legacy_queue_ ? legacy_queue_->push(std::move(job)) : queue_->push(std::move(job));
-}
-
-bool Engine::queue_try_push(Job& job) {
-  return legacy_queue_ ? legacy_queue_->try_push(job) : queue_->try_push(job);
-}
-
 void Engine::worker_loop(std::size_t worker) {
-  std::vector<Job> batch;
-  if (legacy_queue_) {
-    // The measured baseline: one mutex-guarded pop per job, no coalescing.
-    while (auto job = legacy_queue_->pop()) {
-      batch.clear();
-      batch.push_back(std::move(*job));
-      run_batch(batch, worker);
-    }
-    return;
-  }
-  const std::size_t limit = std::max<std::size_t>(1, options_.coalesce_limit);
-  // The batch former's gather cap: room for the larger of a coalesced
-  // sweep and a fused batch. The rings have no peek, so a cross-shard
-  // gather necessarily pops non-matching jobs too — they simply run
-  // (sequentially, same cycle) alongside the fused group, bounded by the
-  // same cap.
-  const std::size_t cap = std::max(limit, std::max<std::size_t>(1, options_.batch_limit));
-  // True when at least two held jobs share a PlanState — the arm
-  // condition of the admission window (a lone job never waits).
-  const auto same_plan_pair = [&batch]() {
-    for (std::size_t a = 0; a + 1 < batch.size(); ++a) {
-      for (std::size_t b = a + 1; b < batch.size(); ++b) {
-        if (batch[a].plan.get() == batch[b].plan.get()) return true;
-      }
-    }
-    return false;
-  };
-  std::size_t src = 0;
+  // One pop, one run: the job's promise resolves when its own run ends,
+  // never behind another job's execution.
   for (;;) {
     std::optional<Job> job;
     try {
-      job = queue_->pop(worker, &src);
+      job = queue_.pop(worker);
     } catch (const fault::InjectedError&) {
       continue;  // nothing was popped; the worker itself must survive
     }
     if (!job) return;  // closed and drained
-    batch.clear();
-    batch.push_back(std::move(*job));
-    // Opportunistic request coalescing: extend the batch with jobs queued
-    // consecutively behind this one on the SAME shard. Strictly
-    // non-blocking — a lone job is never delayed waiting for company —
-    // and capped, so one worker cannot vacuum the queue while its peers
-    // idle. Same-plan members of the batch then share one plan
-    // resolution in run_batch.
-    while (batch.size() < limit) {
-      std::optional<Job> extra;
-      try {
-        extra = queue_->try_pop_shard(src);
-      } catch (const fault::InjectedError&) {
-        break;  // settle for the batch in hand
-      }
-      if (!extra) break;
-      batch.push_back(std::move(*extra));
-    }
-    if (options_.batch_limit > 1) {
-      // Continuous batching, step 1 — cross-shard gather: same-plan jobs
-      // parked on OTHER shards (different producer threads hash to
-      // different rings) join this sweep too, so fusion works ACROSS
-      // submitters, not just consecutive queue neighbors. Still strictly
-      // non-blocking.
-      while (batch.size() < cap) {
-        std::optional<Job> extra;
-        try {
-          extra = queue_->try_pop(worker);
-        } catch (const fault::InjectedError&) {
-          break;
-        }
-        if (!extra) break;
-        batch.push_back(std::move(*extra));
-      }
-      // Step 2 — bounded admission window: only when a second same-plan
-      // job is ALREADY in hand (so a lone job is never delayed), the
-      // batch can still grow, and no shutdown drain is in progress. The
-      // wait is clipped to every held job's deadline: no job is held
-      // past the point where it could still finish on time.
-      if (options_.batch_window.count() > 0 && batch.size() < cap && same_plan_pair() &&
-          drain_deadline_ns_.load(std::memory_order_acquire) == 0) {
-        auto wait_until = std::chrono::steady_clock::now() + options_.batch_window;
-        for (const Job& held : batch) {
-          if (held.control && held.control->has_deadline()) {
-            wait_until = std::min(wait_until, held.control->deadline());
-          }
-        }
-        while (batch.size() < cap && std::chrono::steady_clock::now() < wait_until) {
-          std::optional<Job> extra;
-          try {
-            extra = queue_->try_pop(worker);
-          } catch (const fault::InjectedError&) {
-            break;
-          }
-          if (extra) {
-            batch.push_back(std::move(*extra));
-            continue;
-          }
-          if (queue_->closed()) break;
-          std::this_thread::sleep_for(std::chrono::microseconds(20));
-        }
-      }
-    }
-    run_batch(batch, worker);
-  }
-}
-
-void Engine::run_batch(std::vector<Job>& jobs, std::size_t worker) {
-  // Stable same-plan grouping: the first job of each distinct PlanState
-  // becomes the group leader; the leader resolves the plan exactly once
-  // (backend, spec, compiled program, lowered kernel — one shared_ptr
-  // dereference chain). Groups of >= 2 on a fusable backend execute as
-  // ONE multi-grid interpretation of their shared program
-  // (run_fused_group); other groups dispatch member by member through the
-  // same references. Per-job promises always resolve individually,
-  // failures included.
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!jobs[i].plan) continue;  // already ran as a group member
-    const std::shared_ptr<const detail::PlanState> plan = std::move(jobs[i].plan);
-    std::vector<std::size_t> group{i};
-    for (std::size_t j = i + 1; j < jobs.size(); ++j) {
-      if (jobs[j].plan.get() == plan.get()) {
-        jobs[j].plan.reset();
-        group.push_back(j);
-      }
-    }
-    // Occupancy histogram: EVERY dispatched group counts, lone jobs
-    // included — the denominator that makes occupancy interpretable.
-    const std::size_t bucket =
-        std::min(group.size(), EngineStats::kBatchOccupancyBuckets) - 1;
-    batch_occupancy_[bucket].fetch_add(1, std::memory_order_relaxed);
-    // Count the group and bump jobs_coalesced_ BEFORE resolving any of its
-    // promises: a client that joins every future of the group must observe
-    // the counter, and set_value is the only synchronization edge it has.
-    const std::uint64_t followers = group.size() - 1;
-    if (followers > 0) jobs_coalesced_.fetch_add(followers, std::memory_order_relaxed);
-    if (group.size() >= 2 && options_.batch_limit > 1 && plan->backend->supports_fused_run()) {
-      run_fused_group(*plan, jobs, group, worker);
-    } else {
-      for (const std::size_t idx : group) run_one(*plan, jobs[idx], worker);
-    }
-  }
-}
-
-void Engine::run_fused_group(const detail::PlanState& plan, std::vector<Job>& jobs,
-                             const std::vector<std::size_t>& group, std::size_t worker) {
-  // Shed-at-dequeue pass, mirroring run_one's: members that are already
-  // cancelled or expired — or that outlived a shutdown drain deadline —
-  // resolve typed here and never enter the fused sweep; the survivors
-  // ride it without them.
-  std::vector<std::size_t> live;
-  live.reserve(group.size());
-  const std::int64_t drain = drain_deadline_ns_.load(std::memory_order_acquire);
-  for (const std::size_t idx : group) {
-    Job& job = jobs[idx];
-    if (drain != 0 && steady_now_ns() >= drain) {
-      jobs_cancelled_.fetch_add(1, std::memory_order_release);
-      job.result.set_exception(std::make_exception_ptr(JobCancelled()));
-      continue;
-    }
-    if (job.control) {
-      const core::RunControl::Stop stop = job.control->should_stop();
-      if (stop == core::RunControl::Stop::kDeadline) {
-        jobs_timed_out_.fetch_add(1, std::memory_order_release);
-        job.result.set_exception(std::make_exception_ptr(JobTimedOut()));
-        continue;
-      }
-      if (stop == core::RunControl::Stop::kCancelled) {
-        jobs_cancelled_.fetch_add(1, std::memory_order_release);
-        job.result.set_exception(std::make_exception_ptr(JobCancelled()));
-        continue;
-      }
-    }
-    live.push_back(idx);
-  }
-  if (live.size() < 2) {
-    // Not enough survivors to fuse: the remainder takes the per-job path.
-    for (const std::size_t idx : live) run_one(plan, jobs[idx], worker);
-    return;
-  }
-
-  // Batching counters BEFORE any member's promise resolves — the same
-  // audit as every other stats field a future-joining client can observe.
-  jobs_batched_.fetch_add(live.size(), std::memory_order_release);
-  batches_formed_.fetch_add(1, std::memory_order_release);
-  std::vector<core::BatchMember> members;
-  members.reserve(live.size());
-  for (const std::size_t idx : live) {
-    members.push_back({jobs[idx].grid, jobs[idx].control.get()});
-    if (jobs[idx].control) {
-      jobs[idx].control->note_attempt(plan.backend->name());
-      jobs[idx].control->note_batched();
-    }
-  }
-
-  std::vector<core::BatchOutcome> outcomes;
-  try {
-    outcomes = plan.backend->run_fused(executor_, plan.spec, plan.program, plan.lowered,
-                                       members);
-  } catch (...) {
-    // ANY fused execution failure (an injected fault, a throwing kernel)
-    // reverts every member to the per-job path: each gets its own
-    // shed check, retry budget, and fallback chain, so a fault inside a
-    // batch costs the batch its amortization, never a member its result.
-    for (const std::size_t idx : live) run_one(plan, jobs[idx], worker);
-    return;
-  }
-
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    Job& job = jobs[live[k]];
-    core::BatchOutcome& o = outcomes[k];
-    if (o.stop == core::RunControl::Stop::kDeadline) {
-      jobs_timed_out_.fetch_add(1, std::memory_order_release);
-      job.result.set_exception(std::make_exception_ptr(JobTimedOut()));
-      continue;
-    }
-    if (o.stop == core::RunControl::Stop::kCancelled) {
-      jobs_cancelled_.fetch_add(1, std::memory_order_release);
-      job.result.set_exception(std::make_exception_ptr(JobCancelled()));
-      continue;
-    }
-    if (options_.profiling && !plan.profile_key.empty()) {
-      record_profile(plan, o.result, worker);
-    }
-    jobs_completed_.fetch_add(1, std::memory_order_release);
-    job.result.set_value(std::move(o.result));
+    run_one(*job, worker);
   }
 }
 
@@ -497,7 +271,18 @@ void Engine::retry_backoff(std::uint64_t job_id, std::size_t attempt) const {
       static_cast<double>(ns) * f)));
 }
 
-void Engine::run_one(const detail::PlanState& plan, Job& job, std::size_t worker) {
+void Engine::resolve_stopped(Job& job, core::RunControl::Stop stop) {
+  if (stop == core::RunControl::Stop::kDeadline) {
+    jobs_timed_out_.fetch_add(1, std::memory_order_release);
+    job.result.set_exception(std::make_exception_ptr(JobTimedOut()));
+  } else {
+    jobs_cancelled_.fetch_add(1, std::memory_order_release);
+    job.result.set_exception(std::make_exception_ptr(JobCancelled()));
+  }
+}
+
+void Engine::run_one(Job& job, std::size_t worker) {
+  const detail::PlanState& plan = *job.plan;
   // Every terminal counter bumps BEFORE the promise resolves (and with
   // release order, pairing with stats()'s acquire loads), so a caller
   // returning from future.get()/wait() never observes a lagging count.
@@ -509,23 +294,15 @@ void Engine::run_one(const detail::PlanState& plan, Job& job, std::size_t worker
   // the grid. This is what bounds shutdown(drain): workers still POP
   // every queued job, they just stop EXECUTING them.
   const std::int64_t drain = drain_deadline_ns_.load(std::memory_order_acquire);
+  core::RunControl::Stop stop = core::RunControl::Stop::kNone;
   if (drain != 0 && steady_now_ns() >= drain) {
-    jobs_cancelled_.fetch_add(1, std::memory_order_release);
-    job.result.set_exception(std::make_exception_ptr(JobCancelled()));
-    return;
+    stop = core::RunControl::Stop::kCancelled;
+  } else if (job.control) {
+    stop = job.control->should_stop();
   }
-  if (job.control) {
-    const core::RunControl::Stop stop = job.control->should_stop();
-    if (stop == core::RunControl::Stop::kDeadline) {
-      jobs_timed_out_.fetch_add(1, std::memory_order_release);
-      job.result.set_exception(std::make_exception_ptr(JobTimedOut()));
-      return;
-    }
-    if (stop == core::RunControl::Stop::kCancelled) {
-      jobs_cancelled_.fetch_add(1, std::memory_order_release);
-      job.result.set_exception(std::make_exception_ptr(JobCancelled()));
-      return;
-    }
+  if (stop != core::RunControl::Stop::kNone) {
+    resolve_stopped(job, stop);
+    return;
   }
 
   // The attempt loop: transient faults retry the SAME backend (bounded,
@@ -559,13 +336,7 @@ void Engine::run_one(const detail::PlanState& plan, Job& job, std::size_t worker
       return;
     } catch (const core::ExecutionInterrupted& e) {
       // Cancellation/deadline is a verdict, not a failure: no retry.
-      if (e.reason() == core::RunControl::Stop::kDeadline) {
-        jobs_timed_out_.fetch_add(1, std::memory_order_release);
-        job.result.set_exception(std::make_exception_ptr(JobTimedOut()));
-      } else {
-        jobs_cancelled_.fetch_add(1, std::memory_order_release);
-        job.result.set_exception(std::make_exception_ptr(JobCancelled()));
-      }
+      resolve_stopped(job, e.reason());
       return;
     } catch (const fault::InjectedError& e) {
       last = std::current_exception();
@@ -687,13 +458,7 @@ Plan Engine::compile_impl(const core::WavefrontSpec* spec, const core::InputPara
   if (cacheable) {
     // The serving hot path: a steady-state HIT is one acquire load of the
     // snapshot version plus a map lookup — no lock, no shared refcount
-    // traffic (the thread-local SnapshotRef pins the generation). The
-    // legacy baseline takes cache_mutex_ here instead, so bench_serving
-    // can price exactly this difference.
-    std::unique_lock<std::mutex> legacy_lock;
-    if (options_.legacy_serving_path) {
-      legacy_lock = std::unique_lock<std::mutex>(cache_mutex_);
-    }
+    // traffic (the thread-local SnapshotRef pins the generation).
     const CacheMap& snap = reader_snapshot();
     const auto it = snap.find(key);
     if (it != snap.end()) {
@@ -887,11 +652,13 @@ Submission Engine::submit_impl(const Plan& plan, core::Grid& grid, const SubmitO
   std::size_t attempt = 0;
   for (;;) {
     try {
-      const bool accepted = blocking ? queue_push(job) : queue_try_push(job);
+      // The queue's fault sites fire before `job` is consumed, so an
+      // InjectedError propagating from here leaves the job (promise
+      // included) intact in our hands.
+      const bool accepted = blocking ? queue_.push(std::move(job)) : queue_.try_push(job);
       if (accepted) return out;
       if (!blocking) {
-        const bool closed = legacy_queue_ ? legacy_queue_->closed() : queue_->closed();
-        if (!closed) {
+        if (!queue_.closed()) {
           // Every shard full: shed instead of blocking. Nothing was
           // enqueued, so the submission never happened.
           jobs_submitted_.fetch_sub(1, std::memory_order_relaxed);
@@ -1096,29 +863,17 @@ EngineStats Engine::stats() const {
   s.profile_flushes = profile_flushes_.load(std::memory_order_acquire);
   s.checkpoints_written = checkpoints_written_.load(std::memory_order_relaxed);
   s.jobs_resumed = jobs_resumed_.load(std::memory_order_relaxed);
-  // Same audit again: batching counters bump (release) before any fused
-  // member's promise resolves.
-  s.jobs_batched = jobs_batched_.load(std::memory_order_acquire);
-  s.batches_formed = batches_formed_.load(std::memory_order_acquire);
   s.jobs_submitted = jobs_submitted_.load(std::memory_order_relaxed);
-  s.jobs_coalesced = jobs_coalesced_.load(std::memory_order_relaxed);
-  for (std::size_t b = 0; b < EngineStats::kBatchOccupancyBuckets; ++b) {
-    s.batch_occupancy[b] = batch_occupancy_[b].load(std::memory_order_relaxed);
-  }
   s.plans_compiled = plans_compiled_.load(std::memory_order_relaxed);
   s.plan_cache_hits = plan_cache_hits_.load(std::memory_order_relaxed);
   s.plan_cache_evictions = plan_cache_evictions_.load(std::memory_order_relaxed);
-  s.queue_depth = queue_ ? queue_->size() : legacy_queue_->size();
+  s.queue_depth = queue_.size();
   return s;
 }
 
-ShardedQueueStats Engine::queue_stats() const {
-  return queue_ ? queue_->stats() : ShardedQueueStats{};
-}
+ShardedQueueStats Engine::queue_stats() const { return queue_.stats(); }
 
-std::size_t Engine::queue_capacity() const {
-  return queue_ ? queue_->capacity() : legacy_queue_->capacity();
-}
+std::size_t Engine::queue_capacity() const { return queue_.capacity(); }
 
 std::size_t Engine::plan_cache_size() const {
   return reader_snapshot().size();

@@ -33,9 +33,8 @@
 //     shared_ptr refcounts give QSBR-style safe reclamation for free: a
 //     reader still holding the previous snapshot (or a Plan) keeps an
 //     evicted PlanState alive until it drops the reference;
-//   * workers opportunistically COALESCE consecutive same-plan jobs from
-//     their shard into one batched sweep (one plan resolution, grids
-//     dispatched back-to-back); a lone job is never delayed.
+//   * each worker pops ONE job and runs it to completion: one pop, one
+//     run, one promise. No job ever waits on another job's execution.
 //
 // The raw core::HybridExecutor stays available as the low-level escape
 // hatch — via executor() for cost-model utilities (autotune::
@@ -43,7 +42,6 @@
 // needs traces.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -60,7 +58,6 @@
 
 #include "api/backend.hpp"
 #include "api/errors.hpp"
-#include "api/job_queue.hpp"
 #include "api/plan.hpp"
 #include "api/sharded_queue.hpp"
 #include "autotune/tuner.hpp"
@@ -90,34 +87,6 @@ struct EngineOptions {
   /// two). 0 picks one shard per queue worker, at least 4, so producers
   /// hash across at least as many cache lines as there are consumers.
   std::size_t queue_shards = 0;
-  /// Upper bound of one coalesced sweep: a worker that popped a job keeps
-  /// popping up to this many jobs total from the SAME shard (never
-  /// blocking, so a lone job is never delayed) and executes same-plan
-  /// runs back-to-back. 1 disables coalescing.
-  std::size_t coalesce_limit = 8;
-  /// Upper bound of one FUSED batch: same-plan jobs gathered from ALL
-  /// shards (not just the leader's) execute as one multi-grid
-  /// interpretation of their shared program — one scheduling structure,
-  /// one pool wake cycle, one set of simulated GPU transfers per phase,
-  /// amortized across the batch (HybridExecutor::run_batch). Each member
-  /// keeps its own grid, bit-identical results, and its own promise.
-  /// <= 1 disables fusion (same-plan groups still coalesce plan
-  /// resolution as before).
-  std::size_t batch_limit = 8;
-  /// Bounded admission window of the batch former. 0 (the default) makes
-  /// fusion purely opportunistic: only jobs ALREADY queued when the
-  /// worker sweeps join a batch. > 0 lets a worker that holds at least
-  /// TWO same-plan jobs — the window never arms for a lone job, so a lone
-  /// job is never delayed — keep gathering same-plan arrivals for up to
-  /// this long before executing. The wait is clipped to every held job's
-  /// deadline (a job whose deadline cannot survive the window is never
-  /// held past it) and skipped entirely during a shutdown drain.
-  std::chrono::nanoseconds batch_window{0};
-  /// Serve through the original single-mutex BoundedQueue and take
-  /// cache_mutex_ on plan-cache HITS as well — the pre-sharding engine,
-  /// kept selectable as the measured baseline for bench_serving. Also
-  /// disables coalescing.
-  bool legacy_serving_path = false;
   /// Memoize compiled plans. Executable specs that declare no identity
   /// (empty WavefrontSpec::content_key and no CompileOptions::cache_tag)
   /// are never cached regardless, so an undeclared kernel can't alias.
@@ -232,14 +201,13 @@ struct SubmitOptions {
 
 /// What actually happened to one options-submitted job on its way to a
 /// result: how many execution attempts it took, which backends were
-/// walked (in order, first = the plan's own), whether it rode a fused
-/// batch, and whether it was served by a fallback backend. Snapshot via
+/// walked (in order, first = the plan's own), and whether it was served
+/// by a fallback backend. Snapshot via
 /// Submission::history() — complete once the job's future resolved,
 /// best-effort (mid-flight) before.
 struct JobHistory {
   std::size_t attempts = 0;           ///< execution attempts started (>= 1 once run)
   std::vector<std::string> backends;  ///< backends walked, deduplicated consecutively
-  bool rode_batch = false;            ///< at least one attempt ran inside a fused batch
   bool degraded = false;              ///< served (or last attempted) by a fallback backend
 };
 
@@ -250,8 +218,8 @@ namespace detail {
 /// phase boundaries. Composes three stop sources — the caller's explicit
 /// cancel, the job's own deadline, and the engine-wide drain deadline of
 /// Engine::shutdown — without core/ ever depending on api/. Also carries
-/// the job's retry/degrade/batch history (JobHistory): workers note
-/// events as they happen, Submission::history() snapshots them.
+/// the job's retry/degrade history (JobHistory): workers note events as
+/// they happen, Submission::history() snapshots them.
 class JobControl final : public core::RunControl {
 public:
   JobControl(bool has_deadline, std::chrono::steady_clock::time_point deadline,
@@ -266,19 +234,17 @@ public:
 
   /// History notes, called by the executing worker. note_attempt is once
   /// per execution attempt (retries and fallback rungs included);
-  /// note_batched/note_degraded are sticky flags.
+  /// note_degraded is a sticky flag.
   void note_attempt(const std::string& backend) {
     attempts_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(history_mutex_);
     if (backends_.empty() || backends_.back() != backend) backends_.push_back(backend);
   }
-  void note_batched() { batched_.store(true, std::memory_order_relaxed); }
   void note_degraded() { degraded_.store(true, std::memory_order_relaxed); }
 
   JobHistory history() const {
     JobHistory h;
     h.attempts = attempts_.load(std::memory_order_relaxed);
-    h.rode_batch = batched_.load(std::memory_order_relaxed);
     h.degraded = degraded_.load(std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(history_mutex_);
     h.backends = backends_;
@@ -308,7 +274,6 @@ private:
   const std::atomic<std::int64_t>* const drain_deadline_ns_;
 
   std::atomic<std::size_t> attempts_{0};
-  std::atomic<bool> batched_{false};
   std::atomic<bool> degraded_{false};
   mutable std::mutex history_mutex_;
   std::vector<std::string> backends_;
@@ -326,8 +291,8 @@ struct Submission {
   std::future<core::RunResult> future;
   std::shared_ptr<detail::JobControl> control;
 
-  /// The job's retry/degrade/batch history so far: attempt count,
-  /// backends walked, whether it rode a fused batch. Complete once
+  /// The job's retry/degrade history so far: attempt count and backends
+  /// walked. Complete once
   /// `future` resolved; a best-effort mid-flight snapshot before. Empty
   /// (all defaults) for handles without a control token.
   JobHistory history() const { return control ? control->history() : JobHistory{}; }
@@ -359,12 +324,12 @@ struct EngineStats {
   std::uint64_t jobs_submitted = 0;       ///< accepted by submit()/try_submit()/run()
   std::uint64_t jobs_completed = 0;       ///< finished successfully (failures excluded)
   std::uint64_t jobs_failed = 0;          ///< finished by throwing (promise holds the exception)
-  std::uint64_t jobs_coalesced = 0;       ///< jobs that rode a same-plan batched sweep
-                                          ///< behind its leader (leaders not counted)
-  std::uint64_t jobs_batched = 0;         ///< jobs that entered a FUSED multi-grid sweep
-                                          ///< (every member counts, leader included;
-                                          ///< bumped before any member's promise resolves)
-  std::uint64_t batches_formed = 0;       ///< fused multi-grid sweeps started (>= 2 members)
+  /// Always 0: jobs are never grouped (one pop, one run). Kept only
+  /// because perfbench/ still reads it for api.fused_share; it goes
+  /// together with that metric.
+  std::uint64_t jobs_batched = 0;
+  /// Always 0, kept for perfbench like jobs_batched.
+  std::uint64_t batches_formed = 0;
   std::uint64_t jobs_retried = 0;         ///< transient-failure re-executions (extra
                                           ///< attempts beyond each job's first; includes
                                           ///< re-pushes after an injected submit fault)
@@ -388,15 +353,6 @@ struct EngineStats {
   std::uint64_t jobs_resumed = 0;         ///< runs that restarted from a checkpoint
                                           ///< (resume_from_file / resume)
   std::uint64_t queue_depth = 0;          ///< LIVE gauge: jobs queued right now
-
-  /// Batch-occupancy histogram over every same-plan group a worker
-  /// dispatched: bucket i counts groups of size i+1 (lone jobs land in
-  /// bucket 0), the last bucket counts groups of kBatchOccupancyBuckets
-  /// or more. The evidence record that fusion engaged — and at what
-  /// occupancy — independent of whether the ops/s win shows on a given
-  /// core count.
-  static constexpr std::size_t kBatchOccupancyBuckets = 8;
-  std::array<std::uint64_t, kBatchOccupancyBuckets> batch_occupancy{};
 };
 
 class Engine {
@@ -529,8 +485,7 @@ public:
   const core::HybridExecutor& executor() const { return executor_; }
 
   EngineStats stats() const;
-  /// Contention counters of the sharded job queue (all-zero on the
-  /// legacy single-mutex path).
+  /// Contention counters of the sharded job queue.
   ShardedQueueStats queue_stats() const;
   /// Effective job-queue bound (the sharded queue rounds the requested
   /// capacity up per shard).
@@ -576,7 +531,8 @@ private:
     std::shared_ptr<const detail::PlanState> plan;
     core::Grid* grid = nullptr;
     std::promise<core::RunResult> result;
-    /// Null for legacy submits: no deadline, no cancel, no drain shed.
+    /// Null for control-free submits: no deadline and no cancel (the
+    /// drain shed still applies).
     std::shared_ptr<detail::JobControl> control;
     SubmitOptions opts;
     /// Monotonic id; seeds the deterministic retry-backoff jitter.
@@ -649,26 +605,22 @@ private:
   static void check_executable(const Plan& plan, const core::Grid& grid, const char* where);
   /// Shared submit_batch precondition: every grid valid, no duplicates.
   static void check_batch(const Plan& plan, const std::vector<core::Grid*>& grids);
+  /// Pops one job at a time and hands it to run_one until the queue is
+  /// closed and drained.
   void worker_loop(std::size_t worker);
-  /// Executes `jobs`, resolving each promise; same-plan jobs are grouped
-  /// (stably) and dispatched back-to-back through one plan resolution.
-  /// `worker` selects the profile sample buffer.
-  void run_batch(std::vector<Job>& jobs, std::size_t worker);
   /// Executes one job end to end — shed-at-dequeue check, the
   /// retry/fallback attempt loop, terminal-counter bump, promise
   /// resolution. Never throws; every path resolves the promise.
-  void run_one(const detail::PlanState& plan, Job& job, std::size_t worker);
-  /// Executes one same-plan group (indices into `jobs`) as a FUSED
-  /// multi-grid sweep: shed-at-dequeue pass, batching counters,
-  /// Backend::run_fused, per-member promise resolution. Any fused
-  /// execution failure reverts every member to the per-job run_one path
-  /// (own retries, own fallback chain). Never throws; every member's
-  /// promise resolves.
-  void run_fused_group(const detail::PlanState& plan, std::vector<Job>& jobs,
-                       const std::vector<std::size_t>& group, std::size_t worker);
+  /// `worker` selects the profile sample buffer.
+  void run_one(Job& job, std::size_t worker);
+  /// Resolves a job that a stop source ended (shed at dequeue or
+  /// interrupted at a phase boundary): kDeadline -> JobTimedOut, anything
+  /// else -> JobCancelled. Bumps the terminal counter (release) before
+  /// set_exception, the order stats() relies on.
+  void resolve_stopped(Job& job, core::RunControl::Stop stop);
   /// Shared body of all submit variants. `with_control` attaches a
   /// JobControl (the options overloads); without one the job is the
-  /// legacy zero-overhead shape. May resolve the returned future
+  /// control-free zero-overhead shape. May resolve the returned future
   /// exceptionally right away (injected push fault past its retry
   /// budget); throws only for shutdown/validation, with nothing enqueued.
   Submission submit_impl(const Plan& plan, core::Grid& grid, const SubmitOptions& options,
@@ -681,12 +633,6 @@ private:
   /// Deterministic capped-exponential backoff sleep before retry
   /// `attempt` (1-based) of job `job_id`.
   void retry_backoff(std::uint64_t job_id, std::size_t attempt) const;
-  // Both may throw fault::InjectedError with `job` UNTOUCHED (sites fire
-  // before the queue accepts), so the caller can retry or resolve the
-  // job's promise itself — no future is ever broken.
-  bool queue_push(Job& job);         // blocking; false once closed
-  bool queue_try_push(Job& job);     // non-blocking; false when full/closed
-
   core::HybridExecutor executor_;
   std::optional<autotune::Autotuner> tuner_;
   const EngineOptions options_;
@@ -728,8 +674,7 @@ private:
   void store_snapshot(std::shared_ptr<const CacheMap> next);
 
   /// Writers only (miss/evict/clear): guards the copy-on-write rebuild,
-  /// clock_order_, and the publication below. Readers never take it —
-  /// except on the legacy_serving_path baseline, which locks on hits too.
+  /// clock_order_, and the publication below. Readers never take it.
   mutable std::mutex cache_mutex_;
 #if defined(__SANITIZE_THREAD__)
   mutable std::mutex snapshot_tsan_mutex_;
@@ -751,10 +696,6 @@ private:
   std::atomic<std::uint64_t> jobs_submitted_{0};
   std::atomic<std::uint64_t> jobs_completed_{0};
   std::atomic<std::uint64_t> jobs_failed_{0};
-  std::atomic<std::uint64_t> jobs_coalesced_{0};
-  std::atomic<std::uint64_t> jobs_batched_{0};
-  std::atomic<std::uint64_t> batches_formed_{0};
-  std::array<std::atomic<std::uint64_t>, EngineStats::kBatchOccupancyBuckets> batch_occupancy_{};
   std::atomic<std::uint64_t> jobs_retried_{0};
   std::atomic<std::uint64_t> jobs_degraded_{0};
   std::atomic<std::uint64_t> jobs_timed_out_{0};
@@ -794,9 +735,7 @@ private:
   profile::ProfileStore profile_store_;
   std::vector<std::unique_ptr<ProfileSlot>> profile_slots_;
 
-  /// Exactly one of the two is engaged (legacy_serving_path selects).
-  std::unique_ptr<ShardedQueue<Job>> queue_;
-  std::unique_ptr<BoundedQueue<Job>> legacy_queue_;
+  ShardedQueue<Job> queue_;
   std::vector<std::thread> workers_;
 };
 

@@ -1,10 +1,10 @@
 // Sharded bounded MPMC queue — the Engine's serving-scale job spine.
 //
-// The single-mutex BoundedQueue (job_queue.hpp) serializes every producer
-// and consumer on one lock: fine for one client, a wall at thousands of
-// concurrent submitters. ShardedQueue keeps the same external contract —
-// bounded memory, blocking push/pop, close() + drain shutdown — but the
-// hot path is lock-free:
+// A single-mutex bounded queue serializes every producer and consumer on
+// one lock: fine for one client, a wall at thousands of concurrent
+// submitters. ShardedQueue keeps that external contract — bounded memory,
+// blocking push/pop, close() + drain shutdown — but the hot path is
+// lock-free:
 //
 //   * N ring shards (power-of-two count and per-shard capacity), each a
 //     bounded MPMC ring of sequence-stamped cells (Vyukov's algorithm):
@@ -12,9 +12,9 @@
 //     sequence store, no mutex, no syscall.
 //   * Producers pick a starting shard by a cheap thread-local hash and
 //     fall over to the next shard when theirs is full; backpressure (the
-//     blocking slow path) engages only when ALL shards are full, so the
-//     bounded-memory semantics of BoundedQueue are preserved while
-//     same-core producers stop contending on one cache line.
+//     blocking slow path) engages only when ALL shards are full, so
+//     memory stays bounded while same-core producers stop contending on
+//     one cache line.
 //   * Consumers drain their own shard first and steal from the others —
 //     the same owner-first/steal discipline as cpu::ThreadPool — so under
 //     load a consumer's pops are shard-local and mostly uncontended.
@@ -32,8 +32,8 @@
 // 2.27..2.40) that we reproduced on this code's previous mutex+CV slow
 // path: a consumer stayed parked in pthread_cond_wait with the queue
 // fully drained and closed after a delivered notify_all. close()/drain
-// semantics match BoundedQueue exactly: push returns false once the close
-// is observed, items accepted before that all drain through pop(), and
+// semantics: push returns false once the close is observed, items
+// accepted before that all drain through pop(), and
 // pop() returns nullopt only when the queue is closed AND every accepted
 // item has been handed out (the `pending_push_` guard closes the
 // push-vs-close race that could otherwise strand an accepted item after
@@ -112,9 +112,9 @@ public:
     return push_attempt(item) == PushResult::kOk;
   }
 
-  /// Blocks until a shard has room, then enqueues. Returns false
-  /// (dropping `item`) when the queue was closed before room appeared —
-  /// the same contract as BoundedQueue::push. The rvalue overload runs
+  /// Blocks until a shard has room, then enqueues. Returns false when the
+  /// queue was closed before room appeared (`item` is then not moved
+  /// from). The rvalue overload runs
   /// the fault check BEFORE consuming `item`: an injected throw leaves
   /// the caller's object (promise and all) intact and re-pushable.
   bool push(T&& item) {
@@ -162,32 +162,17 @@ public:
   // --- consumers --------------------------------------------------------
 
   /// Non-blocking pop: consumer `who`'s own shard first, then steals from
-  /// the others. `src_shard`, when given, receives the shard the item
-  /// came from (for shard-local follow-up pops, e.g. request coalescing).
-  std::optional<T> try_pop(std::size_t who, std::size_t* src_shard = nullptr) {
+  /// the others.
+  std::optional<T> try_pop(std::size_t who) {
     fault::check(fault::Site::kQueuePop);
-    return try_pop_impl(who, src_shard);
-  }
-
-  /// Non-blocking pop from ONE specific shard, stealing from nobody.
-  /// This is the coalescing primitive: after pop() hands a consumer a job
-  /// from shard S, follow-up try_pop_shard(S) calls extend the batch with
-  /// the jobs queued consecutively behind it.
-  std::optional<T> try_pop_shard(std::size_t shard) {
-    fault::check(fault::Site::kQueuePop);
-    if (std::optional<T> item = shards_[shard & shard_mask_]->try_pop()) {
-      finish_pop();
-      return item;
-    }
-    return std::nullopt;
+    return try_pop_impl(who);
   }
 
   /// Blocks until an item is available; nullopt once the queue is closed
-  /// AND drained (every accepted push handed out) — the BoundedQueue::pop
-  /// contract.
-  std::optional<T> pop(std::size_t who, std::size_t* src_shard = nullptr) {
+  /// AND drained (every accepted push handed out).
+  std::optional<T> pop(std::size_t who) {
     for (;;) {
-      if (std::optional<T> item = try_pop(who, src_shard)) return item;
+      if (std::optional<T> item = try_pop(who)) return item;
       if (closed_.load(std::memory_order_seq_cst) && drained()) return std::nullopt;
       pop_blocks_.fetch_add(1, std::memory_order_relaxed);
       fault::check(fault::Site::kQueueFutexWait);  // before waiter registration
@@ -195,7 +180,7 @@ public:
       // check pop_waiters_, then bump pop_epoch_".
       pop_waiters_.fetch_add(1, std::memory_order_seq_cst);
       const std::uint32_t ticket = pop_epoch_.load(std::memory_order_seq_cst);
-      if (std::optional<T> item = try_pop_impl(who, src_shard)) {
+      if (std::optional<T> item = try_pop_impl(who)) {
         pop_waiters_.fetch_sub(1, std::memory_order_relaxed);
         return item;
       }
@@ -379,21 +364,21 @@ private:
   }
 
   /// Own-shard-first scan behind try_pop()/pop().
-  std::optional<T> try_pop_impl(std::size_t who, std::size_t* src_shard) {
+  std::optional<T> try_pop_impl(std::size_t who) {
     const std::size_t own = who & shard_mask_;
     for (std::size_t i = 0; i <= shard_mask_; ++i) {
       const std::size_t s = (own + i) & shard_mask_;
       if (std::optional<T> item = shards_[s]->try_pop()) {
         if (i > 0) pop_steals_.fetch_add(1, std::memory_order_relaxed);
         finish_pop();
-        if (src_shard) *src_shard = s;
         return item;
       }
     }
     return std::nullopt;
   }
 
-  /// Successful-pop bookkeeping shared by all pop paths.
+  /// Successful-pop bookkeeping: depth gauge, counters, and the wakes a
+  /// freed slot (or the last pop after close) owes to sleepers.
   void finish_pop() {
     depth_.fetch_sub(1, std::memory_order_relaxed);
     pops_.fetch_add(1, std::memory_order_relaxed);

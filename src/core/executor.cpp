@@ -100,14 +100,10 @@ std::size_t PhaseBreakdown::redundant_cells() const {
 
 // --- executor -------------------------------------------------------------
 
-/// Run-mode state: the spec plus one MEMBER per batched grid (a lone
-/// run() is a batch of one). Each member owns its host grid, its control,
-/// and one full-grid-shaped device buffer per GPU; device buffers are
-/// poison-filled so that any read of a cell the schedule never
-/// transferred or computed produces loudly-wrong values instead of
-/// accidentally-correct zeros. `active` lists the members still running —
-/// members shed by their control at a phase boundary leave the list
-/// without aborting the rest of the batch.
+/// Run-mode state: the spec, the host grid, its control, and the device
+/// buffers of the current GPU phase. Device buffers are poison-filled so
+/// that any read of a cell the schedule never transferred or computed
+/// produces loudly-wrong values instead of accidentally-correct zeros.
 struct HybridExecutor::FunctionalCtx {
   const WavefrontSpec* spec = nullptr;
   cpu::ThreadPool* pool = nullptr;
@@ -116,24 +112,14 @@ struct HybridExecutor::FunctionalCtx {
   /// run(). Every functional compute is a plain indirect call through it.
   const LoweredKernel* lowered = nullptr;
 
-  struct Member {
-    Grid* host = nullptr;
-    /// Cancellation/deadline poll (core/run_control.hpp); null on the
-    /// control-free fast path.
-    const RunControl* control = nullptr;
-    std::vector<ocl::Buffer> dev;
-    RunControl::Stop stop = RunControl::Stop::kNone;
-  };
-  std::vector<Member> members;
-  std::vector<std::size_t> active;  ///< indices of members still running
-  /// Active member count per EXECUTED phase, recorded by execute() in run
-  /// mode — the denominator for fused wall-time attribution.
-  std::vector<std::size_t> phase_active;
-  /// Scratch for CPU phases: the active members' storages, rebuilt per
-  /// phase (members can be shed between phases).
-  std::vector<std::byte*> storages;
+  Grid* host = nullptr;
+  /// Cancellation/deadline poll (core/run_control.hpp); null on the
+  /// control-free fast path.
+  const RunControl* control = nullptr;
+  /// One full-grid-shaped buffer per GPU, or a streamed phase's strip pool.
+  std::vector<ocl::Buffer> dev;
 
-  // Streaming checkpoint/resume plumbing (single-member runs only).
+  // Streaming checkpoint/resume plumbing.
   const StreamControl* stream = nullptr;
   std::string program_digest;     ///< PhaseProgram::describe(), for checkpoints
   std::size_t resume_phase = 0;   ///< phases before this are charge-only
@@ -219,11 +205,10 @@ struct HybridExecutor::FunctionalCtx {
   }
 
   /// Emits a strip-boundary checkpoint when the stream asks for one.
-  /// Only single-member runs checkpoint (a fused batch has no single
-  /// grid to snapshot); `next_strip` is the resume cursor, i.e. strips
-  /// BELOW it are complete in the host grid.
+  /// `next_strip` is the resume cursor, i.e. strips BELOW it are complete
+  /// in the host grid.
   void maybe_checkpoint(std::size_t phase_index, std::size_t next_strip) const {
-    if (!stream || !stream->on_checkpoint || members.size() != 1) return;
+    if (!stream || !stream->on_checkpoint) return;
     const std::size_t every = std::max<std::size_t>(1, stream->checkpoint_every_strips);
     if (next_strip % every != 0) return;
     RunCheckpoint cp;
@@ -232,8 +217,7 @@ struct HybridExecutor::FunctionalCtx {
     cp.elem_bytes = spec->elem_bytes;
     cp.phase_index = phase_index;
     cp.strip_index = next_strip;
-    const Grid& g = *members[0].host;
-    cp.grid.assign(g.data(), g.data() + spec->dim * spec->dim * spec->elem_bytes);
+    cp.grid.assign(host->data(), host->data() + spec->dim * spec->dim * spec->elem_bytes);
     stream->on_checkpoint(cp);
   }
 };
@@ -259,10 +243,8 @@ RunResult HybridExecutor::run(const WavefrontSpec& spec, const PhaseProgram& pro
   fctx.spec = &spec;
   fctx.pool = &pool_;
   fctx.lowered = lowered;
-  fctx.members.emplace_back();
-  fctx.members[0].host = &grid;
-  fctx.members[0].control = control;
-  fctx.active.push_back(0);
+  fctx.host = &grid;
+  fctx.control = control;
   if (stream && (stream->resume || stream->on_checkpoint)) {
     fctx.stream = stream;
     fctx.program_digest = program.describe();
@@ -276,62 +258,7 @@ RunResult HybridExecutor::run(const WavefrontSpec& spec, const PhaseProgram& pro
       fctx.resume_strip = stream->resume->strip_index;
     }
   }
-  RunResult result = execute(spec.inputs(), program, &fctx, trace);
-  // A lone run preserves the historical contract: a control stop is an
-  // ExecutionInterrupted throw, not a shed.
-  if (fctx.members[0].stop != RunControl::Stop::kNone) {
-    throw ExecutionInterrupted(fctx.members[0].stop);
-  }
-  return result;
-}
-
-std::vector<BatchOutcome> HybridExecutor::run_batch(const WavefrontSpec& spec,
-                                                    const PhaseProgram& program,
-                                                    const std::vector<BatchMember>& members,
-                                                    ocl::Trace* trace,
-                                                    const LoweredKernel* lowered) {
-  spec.validate();
-  if (members.empty()) return {};
-  for (const BatchMember& m : members) {
-    if (!m.grid || m.grid->dim() != spec.dim || m.grid->elem_bytes() != spec.elem_bytes) {
-      throw std::invalid_argument("HybridExecutor::run_batch: grid does not match spec");
-    }
-  }
-  LoweredKernel local;
-  if (!lowered) {
-    local = spec.lower();
-    lowered = &local;
-  }
-  FunctionalCtx fctx;
-  fctx.spec = &spec;
-  fctx.pool = &pool_;
-  fctx.lowered = lowered;
-  fctx.members.resize(members.size());
-  fctx.active.reserve(members.size());
-  for (std::size_t m = 0; m < members.size(); ++m) {
-    fctx.members[m].host = members[m].grid;
-    fctx.members[m].control = members[m].control;
-    fctx.active.push_back(m);
-  }
-  // ONE interpretation of the program for the whole batch. The simulated
-  // fields of `shared` are a pure function of (inputs, program) — exactly
-  // what a lone run() of any member would report.
-  const RunResult shared = execute(spec.inputs(), program, &fctx, trace);
-
-  std::vector<BatchOutcome> out(members.size());
-  for (std::size_t m = 0; m < members.size(); ++m) {
-    out[m].stop = fctx.members[m].stop;
-    if (out[m].stop != RunControl::Stop::kNone) continue;  // shed: no result
-    RunResult r = shared;
-    // Attribute the fused measured wall time: each phase's wall is split
-    // evenly across the members that were active in it.
-    for (std::size_t p = 0; p < r.breakdown.phases.size(); ++p) {
-      r.breakdown.phases[p].wall_ns /= static_cast<double>(fctx.phase_active[p]);
-    }
-    r.wall_ns = r.breakdown.total_wall_ns();
-    out[m].result = std::move(r);
-  }
-  return out;
+  return execute(spec.inputs(), program, &fctx, trace);
 }
 
 RunResult HybridExecutor::estimate(const InputParams& in, const PhaseProgram& program,
@@ -414,25 +341,16 @@ RunResult HybridExecutor::execute(const InputParams& in, const PhaseProgram& pro
   for (std::size_t p = 0; p < program.phases.size(); ++p) {
     const PhaseDesc& ph = program.phases[p];
     // Phase boundary, run mode only: the fault-injection site and the
-    // cancellation/deadline polls. Estimates stay pure timing functions —
+    // cancellation/deadline poll. Estimates stay pure timing functions —
     // no site visits, no controls, so the cost model cannot be perturbed.
-    // Each active member's control is polled; a member that asks to stop
-    // is SHED from the batch here (its stop recorded) without aborting
-    // the others — cancellation latency stays bounded by one phase.
+    // A stop abandons the run here, so cancellation latency is bounded by
+    // one phase.
     if (fctx) {
       fault::check(fault::Site::kPhaseBoundary);
-      for (std::size_t a = 0; a < fctx->active.size();) {
-        FunctionalCtx::Member& mem = fctx->members[fctx->active[a]];
-        const RunControl::Stop stop =
-            mem.control ? mem.control->should_stop() : RunControl::Stop::kNone;
-        if (stop != RunControl::Stop::kNone) {
-          mem.stop = stop;
-          fctx->active.erase(fctx->active.begin() + static_cast<std::ptrdiff_t>(a));
-        } else {
-          ++a;
-        }
+      if (fctx->control) {
+        const RunControl::Stop stop = fctx->control->should_stop();
+        if (stop != RunControl::Stop::kNone) throw ExecutionInterrupted(stop);
       }
-      if (fctx->active.empty()) break;  // every member shed: nothing left to run
     }
     // Resume cursor: phases before it (and strips of the cursor phase
     // before its strip index) are charge-only — the grid already holds
@@ -457,20 +375,10 @@ RunResult HybridExecutor::execute(const InputParams& in, const PhaseProgram& pro
         cpu::TiledRegion region{in.dim, ph.d_begin, ph.d_end, ph.cpu_tile};
         t.ns = cpu::wavefront_cost_ns(ph.scheduler, region, profile_.cpu, in.tsize,
                                       in.elem_bytes());
-        if (f) {
-          // All active grids through ONE scheduling structure (one barrier
-          // sweep or one dep-counter graph), grids innermost. n == 1 is
-          // exactly the historical single-grid path.
-          f->storages.clear();
-          for (std::size_t m : f->active) {
-            f->storages.push_back(f->members[m].host->data());
-          }
-          cpu::run_wavefront(ph.scheduler, region, *f->pool, *f->lowered,
-                             f->storages.data(), f->storages.size());
-        }
+        if (f) cpu::run_wavefront(ph.scheduler, region, *f->pool, *f->lowered, f->host->data());
       } else {
         // Streamed CPU phase: the strips run back to back on the host
-        // grids (dependency-safe: a strip's last row is the next strip's
+        // grid (dependency-safe: a strip's last row is the next strip's
         // north frontier, already final when the next strip starts). No
         // overlap to buy on the host — the win is the checkpoint points
         // and the uniform strip axis — so serialized_ns == ns.
@@ -484,12 +392,7 @@ RunResult HybridExecutor::execute(const InputParams& in, const PhaseProgram& pro
           t.ns += cpu::wavefront_cost_ns(ph.scheduler, region, profile_.cpu, in.tsize,
                                          in.elem_bytes());
           if (f && s >= resume_strip) {
-            f->storages.clear();
-            for (std::size_t m : f->active) {
-              f->storages.push_back(f->members[m].host->data());
-            }
-            cpu::run_wavefront(ph.scheduler, region, *f->pool, *f->lowered,
-                               f->storages.data(), f->storages.size());
+            cpu::run_wavefront(ph.scheduler, region, *f->pool, *f->lowered, f->host->data());
             f->maybe_checkpoint(p, s + 1);
           }
         }
@@ -498,10 +401,7 @@ RunResult HybridExecutor::execute(const InputParams& in, const PhaseProgram& pro
     } else {
       gpu_phase(in, ph, f, resume_strip, p, trace, t);
     }
-    if (fctx) {
-      t.wall_ns = wall_since(wall0);
-      fctx->phase_active.push_back(fctx->active.size());
-    }
+    if (fctx) t.wall_ns = wall_since(wall0);
     result.breakdown.phases.push_back(t);
   }
 
@@ -515,24 +415,21 @@ void HybridExecutor::gpu_phase(const InputParams& in, const PhaseDesc& ph,
                                std::size_t phase_index, ocl::Trace* trace,
                                PhaseTiming& out) const {
   if (fctx) {
-    // Device storage per active member: one full-grid-shaped buffer per
-    // device, or — for a streamed phase — the fixed strip pool of
-    // strip_buffers buffers of (strip_rows + 1) rows each, which is the
-    // whole point: peak residency O(strip_rows * dim), not O(dim^2).
-    // Either way the buffers are poison-filled so reads of cells the
-    // schedule never staged produce loudly-wrong values.
+    // Device storage: one full-grid-shaped buffer per device, or — for a
+    // streamed phase — the fixed strip pool of strip_buffers buffers of
+    // (strip_rows + 1) rows each, which is the whole point: peak residency
+    // O(strip_rows * dim), not O(dim^2). Either way the buffers are
+    // poison-filled so reads of cells the schedule never staged produce
+    // loudly-wrong values.
     const std::size_t bytes =
         ph.streamed() ? (ph.strip_rows + 1) * in.dim * fctx->spec->elem_bytes
                       : in.dim * in.dim * fctx->spec->elem_bytes;
     const std::size_t count =
         ph.streamed() ? ph.strip_buffers : static_cast<std::size_t>(ph.gpu_count);
-    for (std::size_t m : fctx->active) {
-      FunctionalCtx::Member& mem = fctx->members[m];
-      mem.dev.clear();
-      for (std::size_t g = 0; g < count; ++g) {
-        mem.dev.emplace_back(bytes);
-        mem.dev.back().fill(Grid::kPoison);
-      }
+    fctx->dev.clear();
+    for (std::size_t g = 0; g < count; ++g) {
+      fctx->dev.emplace_back(bytes);
+      fctx->dev.back().fill(Grid::kPoison);
     }
   }
   if (ph.gpu_count >= 2) {
@@ -566,13 +463,8 @@ void HybridExecutor::gpu_phase_single(const InputParams& in, const PhaseDesc& ph
   dev.charge_write(bytes_in);
   out.transfer_in_ns = ctx.pcie_model().transfer_ns(bytes_in);
   if (fctx) {
-    // ONE transfer point (one fault-site visit, one simulated charge) for
-    // the whole batch; the functional copy runs per member.
     fault::check(fault::Site::kGpuTransfer);
-    for (std::size_t m : fctx->active) {
-      FunctionalCtx::Member& mem = fctx->members[m];
-      fctx->copy_diag_rows(mem.host->data(), mem.dev[0].data(), frontier_lo, d1, 0, dim);
-    }
+    fctx->copy_diag_rows(fctx->host->data(), fctx->dev[0].data(), frontier_lo, d1, 0, dim);
   }
 
   if (ph.gpu_tile <= 1) {
@@ -589,10 +481,8 @@ void HybridExecutor::gpu_phase_single(const InputParams& in, const PhaseDesc& ph
       if (fctx) {
         const std::size_t lo = diag_row_lo(dim, d);
         const std::size_t hi = diag_row_hi(dim, d);
-        for (std::size_t m : fctx->active) {
-          std::byte* storage = fctx->members[m].dev[0].data();
-          for (std::size_t i = lo; i <= hi; ++i) fctx->compute_cell(storage, i, d - i);
-        }
+        std::byte* storage = fctx->dev[0].data();
+        for (std::size_t i = lo; i <= hi; ++i) fctx->compute_cell(storage, i, d - i);
       }
     }
   } else {
@@ -618,14 +508,10 @@ void HybridExecutor::gpu_phase_single(const InputParams& in, const PhaseDesc& ph
         const std::size_t i_tile_hi = diag_row_hi(Mg, k);
         for (std::size_t I = i_tile_lo; I <= i_tile_hi; ++I) {
           const std::size_t J = k - I;
-          // One lowered-kernel call per tile per member, band clamp
-          // included — the functional mirror of one simulated work-group;
-          // grids iterate innermost so the batch shares the tile walk.
-          for (std::size_t m : fctx->active) {
-            fctx->lowered->tile(fctx->members[m].dev[0].data(), I * g,
-                                std::min((I + 1) * g, dim), J * g,
-                                std::min((J + 1) * g, dim), d0, d1);
-          }
+          // One lowered-kernel call per tile, band clamp included — the
+          // functional mirror of one simulated work-group.
+          fctx->lowered->tile(fctx->dev[0].data(), I * g, std::min((I + 1) * g, dim), J * g,
+                              std::min((J + 1) * g, dim), d0, d1);
         }
       }
     }
@@ -637,10 +523,7 @@ void HybridExecutor::gpu_phase_single(const InputParams& in, const PhaseDesc& ph
   out.transfer_out_ns = ctx.pcie_model().transfer_ns(bytes_out);
   if (fctx) {
     fault::check(fault::Site::kGpuTransfer);
-    for (std::size_t m : fctx->active) {
-      FunctionalCtx::Member& mem = fctx->members[m];
-      fctx->copy_diag_rows(mem.dev[0].data(), mem.host->data(), d0, d1, 0, dim);
-    }
+    fctx->copy_diag_rows(fctx->dev[0].data(), fctx->host->data(), d0, d1, 0, dim);
   }
 
   out.ns = ctx.finish_time();
@@ -747,15 +630,11 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
       if (f && s >= resume_strip) {
         fault::check(fault::Site::kStripTransfer);
         const std::size_t base_row = base_row_of(s);
-        const std::size_t b = buf_of(s);
-        for (std::size_t m : f->active) {
-          FunctionalCtx::Member& mem = f->members[m];
-          f->copy_full_to_local(mem.host->data(), mem.dev[b].data(), base_row, frontier_lo,
-                                d1, si.r0, si.r1);
-          if (fold_halo) {
-            f->copy_full_to_local(mem.host->data(), mem.dev[b].data(), base_row,
-                                  frontier_lo, d1, si.r0 - 1, si.r0);
-          }
+        std::byte* buf = f->dev[buf_of(s)].data();
+        f->copy_full_to_local(f->host->data(), buf, base_row, frontier_lo, d1, si.r0, si.r1);
+        if (fold_halo) {
+          f->copy_full_to_local(f->host->data(), buf, base_row, frontier_lo, d1, si.r0 - 1,
+                                si.r0);
         }
       }
     };
@@ -766,22 +645,17 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
       slot_deps(s, false);
       ev_h[s] = dev.charge_internal_copy((si.halo_j_hi - si.halo_j_lo) * esize, deps);
       if (f && s >= resume_strip) {
-        const std::size_t b = buf_of(s);
-        for (std::size_t m : f->active) {
-          FunctionalCtx::Member& mem = f->members[m];
-          if (s == resume_strip && s > s_first) {
-            // The previous strip was charge-only on this resumed run; its
-            // buffer is poison, but the restored host grid holds the halo
-            // row's final values. The SIMULATED charge above is the
-            // normal internal copy either way — resume never perturbs
-            // the schedule.
-            f->copy_full_to_local(mem.host->data(), mem.dev[b].data(), base_row_of(s),
-                                  frontier_lo, d1, si.r0 - 1, si.r0);
-          } else {
-            f->copy_local_row(mem.dev[buf_of(s - 1)].data(), base_row_of(s - 1),
-                              mem.dev[b].data(), base_row_of(s), si.r0 - 1, si.halo_j_lo,
-                              si.halo_j_hi);
-          }
+        std::byte* buf = f->dev[buf_of(s)].data();
+        if (s == resume_strip && s > s_first) {
+          // The previous strip was charge-only on this resumed run; its
+          // buffer is poison, but the restored host grid holds the halo
+          // row's final values. The SIMULATED charge above is the normal
+          // internal copy either way — resume never perturbs the schedule.
+          f->copy_full_to_local(f->host->data(), buf, base_row_of(s), frontier_lo, d1,
+                                si.r0 - 1, si.r0);
+        } else {
+          f->copy_local_row(f->dev[buf_of(s - 1)].data(), base_row_of(s - 1), buf,
+                            base_row_of(s), si.r0 - 1, si.halo_j_lo, si.halo_j_hi);
         }
       }
     };
@@ -822,12 +696,8 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
           if (f && s >= resume_strip) {
             const std::size_t lo = std::max(diag_row_lo(dim, d), si.r0);
             const std::size_t hi = std::min(diag_row_hi(dim, d), si.r1 - 1);
-            for (std::size_t m : f->active) {
-              std::byte* base = f->members[m].dev[b].data();
-              for (std::size_t i = lo; i <= hi; ++i) {
-                f->compute_cell_local(base, base_row, i, d - i);
-              }
-            }
+            std::byte* base = f->dev[b].data();
+            for (std::size_t i = lo; i <= hi; ++i) f->compute_cell_local(base, base_row, i, d - i);
           }
         }
       } else {
@@ -858,10 +728,8 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
               const std::size_t J = k - I;
               const std::size_t i0 = std::max(I * g, si.r0);
               const std::size_t i1 = std::min({(I + 1) * g, dim, si.r1});
-              for (std::size_t m : f->active) {
-                f->lowered->tile_local(f->members[m].dev[b].data(), base_row, i0, i1,
-                                       J * g, std::min((J + 1) * g, dim), d0, d1);
-              }
+              f->lowered->tile_local(f->dev[b].data(), base_row, i0, i1, J * g,
+                                     std::min((J + 1) * g, dim), d0, d1);
             }
           }
         }
@@ -877,12 +745,8 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
       if (acc) acc->transfer_out_ns += ctx.pcie_model().transfer_ns(bytes);
       if (f && s >= resume_strip) {
         fault::check(fault::Site::kStripTransfer);
-        const std::size_t b = buf_of(s);
-        for (std::size_t m : f->active) {
-          FunctionalCtx::Member& mem = f->members[m];
-          f->copy_local_to_full(mem.dev[b].data(), base_row_of(s), mem.host->data(), d0,
-                                d1, si.r0, si.r1);
-        }
+        f->copy_local_to_full(f->dev[buf_of(s)].data(), base_row_of(s), f->host->data(), d0, d1,
+                              si.r0, si.r1);
         f->maybe_checkpoint(phase_index, s + 1);
       }
     };
@@ -950,12 +814,9 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
     out.transfer_in_ns += ctx.pcie_model().transfer_ns(cells_in * esize);
     if (fctx) {
       fault::check(fault::Site::kGpuTransfer);
-      for (std::size_t m : fctx->active) {
-        FunctionalCtx::Member& mem = fctx->members[m];
-        fctx->copy_diag_rows(mem.host->data(), mem.dev[g].data(), frontier_lo, d1,
-                             static_cast<std::size_t>(wedge_lo[g]),
-                             static_cast<std::size_t>(split[g + 1]));
-      }
+      fctx->copy_diag_rows(fctx->host->data(), fctx->dev[g].data(), frontier_lo, d1,
+                           static_cast<std::size_t>(wedge_lo[g]),
+                           static_cast<std::size_t>(split[g + 1]));
     }
   }
 
@@ -1008,14 +869,10 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
         if (fctx) {
           for (long long pd = ll(d) - 2; pd <= ll(d) - 1; ++pd) {
             if (pd < 0) continue;
-            for (std::size_t m : fctx->active) {
-              FunctionalCtx::Member& mem = fctx->members[m];
-              fctx->copy_diag_rows(mem.dev[g - 1].data(), mem.dev[g].data(),
-                                   static_cast<std::size_t>(pd),
-                                   static_cast<std::size_t>(pd) + 1,
-                                   static_cast<std::size_t>(wedge_lo[g]),
-                                   static_cast<std::size_t>(split[g]));
-            }
+            fctx->copy_diag_rows(fctx->dev[g - 1].data(), fctx->dev[g].data(),
+                                 static_cast<std::size_t>(pd), static_cast<std::size_t>(pd) + 1,
+                                 static_cast<std::size_t>(wedge_lo[g]),
+                                 static_cast<std::size_t>(split[g]));
           }
         }
         v_dm1[g] = std::min(v_dm1[g], wedge_lo[g]);
@@ -1040,12 +897,10 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
       ctx.device(g).charge_kernel(shape);
       ++out.kernel_launches;
       if (fctx) {
-        for (std::size_t m : fctx->active) {
-          std::byte* storage = fctx->members[m].dev[g].data();
-          for (long long i = compute_lo[g]; i <= compute_hi[g]; ++i) {
-            fctx->compute_cell(storage, static_cast<std::size_t>(i),
-                               d - static_cast<std::size_t>(i));
-          }
+        std::byte* storage = fctx->dev[g].data();
+        for (long long i = compute_lo[g]; i <= compute_hi[g]; ++i) {
+          fctx->compute_cell(storage, static_cast<std::size_t>(i),
+                             d - static_cast<std::size_t>(i));
         }
       }
       v_dm2[g] = v_dm1[g];
@@ -1064,12 +919,9 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
     out.transfer_out_ns += ctx.pcie_model().transfer_ns(cells_out * esize);
     if (fctx) {
       fault::check(fault::Site::kGpuTransfer);
-      for (std::size_t m : fctx->active) {
-        FunctionalCtx::Member& mem = fctx->members[m];
-        fctx->copy_diag_rows(mem.dev[g].data(), mem.host->data(), d0, d1,
-                             static_cast<std::size_t>(split[g]),
-                             static_cast<std::size_t>(split[g + 1]));
-      }
+      fctx->copy_diag_rows(fctx->dev[g].data(), fctx->host->data(), d0, d1,
+                           static_cast<std::size_t>(split[g]),
+                           static_cast<std::size_t>(split[g + 1]));
     }
   }
 

@@ -116,24 +116,7 @@ struct RunResult {
   TunableParams params;   ///< normalized parameters the program was built from
 };
 
-/// One job of a fused batch: its grid plus its (optional) cancellation/
-/// deadline control. Grids must be distinct objects matching the spec.
-struct BatchMember {
-  Grid* grid = nullptr;
-  const RunControl* control = nullptr;
-};
-
-/// Per-member outcome of run_batch. `stop == kNone` means the member ran
-/// to completion and `result` is valid (bit-identical grid and simulated
-/// timing to a lone run); otherwise the member was shed at a phase
-/// boundary — its grid contents are unspecified, mirroring what
-/// ExecutionInterrupted means on the single-run path.
-struct BatchOutcome {
-  RunResult result;
-  RunControl::Stop stop = RunControl::Stop::kNone;
-};
-
-/// Checkpoint/resume plumbing for a streamed run() (single-grid path).
+/// Checkpoint/resume plumbing for a streamed run().
 /// Strip boundaries are the checkpoint points: after each strip's results
 /// land in the host grid, `on_checkpoint` (if set, and the cadence says
 /// so) receives a consistent RunCheckpoint snapshot. A non-null `resume`
@@ -146,7 +129,7 @@ struct StreamControl {
   /// digest and the grid geometry (throws CheckpointError on mismatch).
   const RunCheckpoint* resume = nullptr;
   /// Called after every `checkpoint_every_strips`-th completed strip of a
-  /// streamed phase (and never in estimate mode or fused batches).
+  /// streamed phase (never in estimate mode).
   std::function<void(const RunCheckpoint&)> on_checkpoint;
   std::size_t checkpoint_every_strips = 1;
 };
@@ -181,26 +164,6 @@ public:
   RunResult run(const WavefrontSpec& spec, const PhaseProgram& program, Grid& grid,
                 ocl::Trace* trace = nullptr, const LoweredKernel* lowered = nullptr,
                 const RunControl* control = nullptr, const StreamControl* stream = nullptr);
-
-  /// Continuous-batching entry point: interprets `program` ONCE for all
-  /// members' grids. CPU phases drive every grid through one scheduling
-  /// structure (one barrier sweep or one dep-counter graph, grids
-  /// innermost); GPU phases run one simulated charging pass per phase
-  /// with the functional transfers/kernels looped per member — so the
-  /// per-phase fixed costs are paid once per batch, not once per grid.
-  /// Each member keeps its own storage and simulated timing: a surviving
-  /// member's grid and RunResult simulated fields are bit-identical to a
-  /// lone run() of the same program (measured wall_ns is attributed as
-  /// the fused phase wall divided by that phase's active member count).
-  /// Members whose control asks to stop at a phase boundary are SHED from
-  /// the batch (their BatchOutcome::stop records why) without aborting
-  /// the rest; the call throws only on spec/program mismatch or a
-  /// non-control execution failure (e.g. an injected fault), never for a
-  /// member stop.
-  std::vector<BatchOutcome> run_batch(const WavefrontSpec& spec, const PhaseProgram& program,
-                                      const std::vector<BatchMember>& members,
-                                      ocl::Trace* trace = nullptr,
-                                      const LoweredKernel* lowered = nullptr);
 
   /// Simulated timing of the IDENTICAL program walk, without functional
   /// execution — the same interpreter as run(), minus the kernel calls.

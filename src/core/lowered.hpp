@@ -145,14 +145,4 @@ struct LoweredKernel {
   }
 };
 
-/// A storage view the CPU schedulers dispatch through: `base` addresses
-/// grid row `base_row`, column 0, with the full dim*elem_bytes row
-/// stride. {grid.data(), 0} is the whole-grid view; a streaming strip
-/// hands the schedulers {strip_buffer, first_resident_row} instead and
-/// every kernel still sees absolute coordinates.
-struct StorageView {
-  std::byte* base = nullptr;
-  std::size_t base_row = 0;
-};
-
 }  // namespace wavetune::core

@@ -49,15 +49,10 @@ struct DataflowState {
   const TiledRegion* region = nullptr;
   ThreadPool* pool = nullptr;
   /// Tile dispatch: exactly one of `lowered` (hot path — one indirect
-  /// call per tile per grid over `storages`) or `segment` (legacy
-  /// type-erased per-row path) is set. `storages` points at n_grids
-  /// independent full-grid byte arrays; the fused batching path drives
-  /// several grids through ONE dep-counter graph by iterating them
-  /// innermost in execute(). The single-grid entry points pass a
-  /// 1-element array living on their own (blocking) stack frame.
+  /// call per tile over the full-grid `storage`) or `segment` (legacy
+  /// type-erased per-row path) is set.
   const core::LoweredKernel* lowered = nullptr;
-  const core::StorageView* views = nullptr;
-  std::size_t n_grids = 1;
+  std::byte* storage = nullptr;
   const RowSegmentFn* segment = nullptr;
   std::size_t M = 0;  ///< tiles per side
   TileDiagRange range;
@@ -128,15 +123,9 @@ struct DataflowState {
     const std::size_t col_lo = J * T;
     const std::size_t col_hi = std::min(col_lo + T, dim);
     if (lowered) {
-      // One indirect call per tile per grid; clamping and the row loop
-      // live inside the lowered dispatch. Grids iterate innermost so the
-      // whole batch shares one counter graph and one steal schedule —
-      // each call touches only its own storage, so results per grid are
-      // bit-identical to a lone run.
-      for (std::size_t g = 0; g < n_grids; ++g) {
-        lowered->tile_local(views[g].base, views[g].base_row, row_lo, row_hi, col_lo, col_hi,
-                            region->d_begin, region->d_end);
-      }
+      // One indirect call per tile; clamping and the row loop live inside
+      // the lowered dispatch.
+      lowered->tile(storage, row_lo, row_hi, col_lo, col_hi, region->d_begin, region->d_end);
       return;
     }
     for (std::size_t i = row_lo; i < row_hi; ++i) {
@@ -234,7 +223,7 @@ void run_inline(DataflowState& state) {
 }
 
 /// Shared body of the LoweredKernel and RowSegmentFn entry points: `state`
-/// arrives with its dispatch fields (lowered/storage or segment) already
+/// arrives with its dispatch fields (lowered + storage, or segment) already
 /// set; everything else is initialised here.
 void run_dataflow_impl(const TiledRegion& region, ThreadPool& pool, DataflowState& state) {
   region.validate();
@@ -324,34 +313,10 @@ const char* scheduler_name(Scheduler s) {
 
 void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
                             const core::LoweredKernel& kernel, std::byte* storage) {
-  // 1-element views array on this frame: run_dataflow_impl blocks until
-  // every tile drained, so the frame outlives all worker access.
-  const core::StorageView views[1] = {{storage, 0}};
   DataflowState state;
   state.lowered = &kernel;
-  state.views = views;
-  state.n_grids = 1;
+  state.storage = storage;
   run_dataflow_impl(region, pool, state);
-}
-
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const core::LoweredKernel& kernel,
-                            const core::StorageView* views, std::size_t n_grids) {
-  if (n_grids == 0) throw std::invalid_argument("run_dataflow_wavefront: n_grids == 0");
-  DataflowState state;
-  state.lowered = &kernel;
-  state.views = views;
-  state.n_grids = n_grids;
-  run_dataflow_impl(region, pool, state);
-}
-
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const core::LoweredKernel& kernel, std::byte* const* storages,
-                            std::size_t n_grids) {
-  if (n_grids == 0) throw std::invalid_argument("run_dataflow_wavefront: n_grids == 0");
-  std::vector<core::StorageView> views(n_grids);
-  for (std::size_t g = 0; g < n_grids; ++g) views[g] = {storages[g], 0};
-  run_dataflow_wavefront(region, pool, kernel, views.data(), n_grids);
 }
 
 void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
@@ -408,26 +373,6 @@ void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
     run_dataflow_wavefront(region, pool, kernel, storage);
   } else {
     run_tiled_wavefront(region, pool, kernel, storage);
-  }
-}
-
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const core::LoweredKernel& kernel, std::byte* const* storages,
-                   std::size_t n_grids) {
-  if (s == Scheduler::kDataflow) {
-    run_dataflow_wavefront(region, pool, kernel, storages, n_grids);
-  } else {
-    run_tiled_wavefront(region, pool, kernel, storages, n_grids);
-  }
-}
-
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const core::LoweredKernel& kernel, const core::StorageView* views,
-                   std::size_t n_grids) {
-  if (s == Scheduler::kDataflow) {
-    run_dataflow_wavefront(region, pool, kernel, views, n_grids);
-  } else {
-    run_tiled_wavefront(region, pool, kernel, views, n_grids);
   }
 }
 

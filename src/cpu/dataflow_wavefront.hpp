@@ -57,25 +57,6 @@ void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
                             const RowSegmentFn& segment);
 void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool, const CellFn& cell);
 
-/// Fused multi-grid variant: ONE dependency-counter graph and ONE steal
-/// schedule drive `n_grids` independent full-grid storages through the
-/// same kernel. Grids iterate INNERMOST inside each tile task, so the
-/// per-tile scheduling fixed cost (counter RMWs, deque traffic, pool
-/// wakes) is paid once per batch instead of once per grid; each grid's
-/// results stay bit-identical to a lone run. n_grids == 1 behaves exactly
-/// like the single-storage overload.
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const core::LoweredKernel& kernel, std::byte* const* storages,
-                            std::size_t n_grids);
-
-/// Strip-local storage-view variant (see run_tiled_wavefront's): the dep
-/// graph is built over the region's row window only, and each kernel call
-/// addresses the view's row-window buffer while receiving absolute cell
-/// coordinates.
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const core::LoweredKernel& kernel,
-                            const core::StorageView* views, std::size_t n_grids);
-
 /// Simulated time of run_dataflow_wavefront on `cpu`: a critical-path
 /// model. Per-tile cost is T^2 elements plus CpuModel::dataflow_dep_ns of
 /// dependency bookkeeping (counter updates + deque traffic) — there is no
@@ -90,12 +71,6 @@ double dataflow_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel
 /// LoweredKernel overload is what the executor uses.
 void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
                    const core::LoweredKernel& kernel, std::byte* storage);
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const core::LoweredKernel& kernel, std::byte* const* storages,
-                   std::size_t n_grids);
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const core::LoweredKernel& kernel, const core::StorageView* views,
-                   std::size_t n_grids);
 void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
                    const RowSegmentFn& segment);
 double wavefront_cost_ns(Scheduler s, const TiledRegion& region, const sim::CpuModel& cpu,

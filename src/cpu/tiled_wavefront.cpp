@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 #include "core/diag.hpp"
 
@@ -62,12 +61,10 @@ namespace {
 
 /// Per-tile-diagonal state of the lowered barrier sweep, dispatched
 /// through ThreadPool's raw parallel_for so nothing type-erased is
-/// invoked per tile. Dispatch is view-based (base + first resident row):
-/// the whole-grid overloads pass {storage, 0}, streaming strips a
-/// row-window buffer, both through the same tile_local pointer math.
+/// invoked per tile.
 struct LoweredDiagCtx {
   const core::LoweredKernel* kernel;
-  core::StorageView view;
+  std::byte* storage;
   const TiledRegion* region;
   std::size_t k;  ///< current tile-diagonal (I + J == k)
 };
@@ -82,36 +79,8 @@ void run_lowered_diag_tile(void* pv, std::size_t I) {
   // boundary cuts through.
   const std::size_t row_lo = std::max(I * T, c.region->row_begin);
   const std::size_t row_hi = std::min({I * T + T, dim, c.region->row_hi()});
-  c.kernel->tile_local(c.view.base, c.view.base_row, row_lo, row_hi, J * T,
-                       std::min(J * T + T, dim), c.region->d_begin, c.region->d_end);
-}
-
-/// Fused-batch counterpart of LoweredDiagCtx: one claim dispatches the
-/// same (I,J) tile across every batch member's storage, grids innermost.
-struct LoweredMultiDiagCtx {
-  const core::LoweredKernel* kernel;
-  const core::StorageView* views;
-  std::size_t n_grids;
-  const TiledRegion* region;
-  std::size_t k;  ///< current tile-diagonal (I + J == k)
-};
-
-void run_lowered_multi_diag_tile(void* pv, std::size_t I) {
-  const LoweredMultiDiagCtx& c = *static_cast<const LoweredMultiDiagCtx*>(pv);
-  const std::size_t dim = c.region->dim;
-  const std::size_t T = c.region->tile;
-  const std::size_t J = c.k - I;
-  const std::size_t row_lo = std::max(I * T, c.region->row_begin);
-  const std::size_t row_hi = std::min({I * T + T, dim, c.region->row_hi()});
-  const std::size_t col_lo = J * T;
-  const std::size_t col_hi = std::min(col_lo + T, dim);
-  // Grids innermost: the tile geometry (and the claim that scheduled it)
-  // amortizes over the whole batch; each storage is written only by its
-  // own call, so member results cannot cross-contaminate.
-  for (std::size_t g = 0; g < c.n_grids; ++g) {
-    c.kernel->tile_local(c.views[g].base, c.views[g].base_row, row_lo, row_hi, col_lo, col_hi,
-                         c.region->d_begin, c.region->d_end);
-  }
+  c.kernel->tile(c.storage, row_lo, row_hi, J * T, std::min(J * T + T, dim), c.region->d_begin,
+                 c.region->d_end);
 }
 
 /// Inclusive clamped tile-row range of tile-diagonal k under the region's
@@ -138,7 +107,7 @@ void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
   const std::size_t T = region.tile;
   const std::size_t M = (region.dim + T - 1) / T;  // tiles per side
 
-  LoweredDiagCtx ctx{&kernel, {storage, 0}, &region, 0};
+  LoweredDiagCtx ctx{&kernel, storage, &region, 0};
   for (std::size_t k = 0; k < 2 * M - 1; ++k) {
     const std::size_t span_lo = k * T;
     const std::size_t span_hi = (k + 2) * T - 2;  // inclusive
@@ -151,48 +120,6 @@ void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
     pool.parallel_for(rows.first, rows.last + 1, &run_lowered_diag_tile, &ctx, grain);
     // parallel_for blocks: that is the inter-tile-diagonal barrier.
   }
-}
-
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const core::LoweredKernel& kernel, const core::StorageView* views,
-                         std::size_t n_grids) {
-  region.validate();
-  if (n_grids == 0) throw std::invalid_argument("run_tiled_wavefront: n_grids == 0");
-  if (region.d_begin == region.d_end) return;
-  const std::size_t T = region.tile;
-  const std::size_t M = (region.dim + T - 1) / T;  // tiles per side
-
-  LoweredMultiDiagCtx ctx{&kernel, views, n_grids, &region, 0};
-  for (std::size_t k = 0; k < 2 * M - 1; ++k) {
-    const std::size_t span_lo = k * T;
-    const std::size_t span_hi = (k + 2) * T - 2;  // inclusive
-    if (span_lo >= region.d_end || span_hi < region.d_begin) continue;
-
-    const TileRowRange rows = tile_rows_on_diag(region, M, k);
-    if (rows.first > rows.last) continue;
-    // Each claim carries n_grids tiles' worth of cells, so the per-claim
-    // batching the single-grid calibration picked shrinks accordingly
-    // (never below one tile per claim).
-    const std::size_t grain = std::max<std::size_t>(
-        1, tile_grain(rows.last - rows.first + 1, T, pool.worker_count()) / n_grids);
-    ctx.k = k;
-    pool.parallel_for(rows.first, rows.last + 1, &run_lowered_multi_diag_tile, &ctx, grain);
-    // parallel_for blocks: ONE inter-tile-diagonal barrier for the whole
-    // batch — the fixed cost continuous batching amortizes.
-  }
-}
-
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const core::LoweredKernel& kernel, std::byte* const* storages,
-                         std::size_t n_grids) {
-  if (n_grids == 1) {
-    run_tiled_wavefront(region, pool, kernel, storages[0]);
-    return;
-  }
-  if (n_grids == 0) throw std::invalid_argument("run_tiled_wavefront: n_grids == 0");
-  std::vector<core::StorageView> views(n_grids);
-  for (std::size_t g = 0; g < n_grids; ++g) views[g] = {storages[g], 0};
-  run_tiled_wavefront(region, pool, kernel, views.data(), n_grids);
 }
 
 void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
@@ -243,7 +170,7 @@ void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool, const Cell
 }
 
 void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& kernel,
-                          core::StorageView view) {
+                          std::byte* storage) {
   region.validate();
   if (region.d_begin == region.d_end) return;
   // One band-clamped dispatch over the whole remaining rectangle: a full
@@ -255,13 +182,7 @@ void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& 
       std::max(core::diag_row_lo(region.dim, region.d_begin), region.row_begin);
   const std::size_t i_last = region.row_hi();
   if (i_first >= i_last) return;
-  kernel.tile_local(view.base, view.base_row, i_first, i_last, 0, region.dim, region.d_begin,
-                    region.d_end);
-}
-
-void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& kernel,
-                          std::byte* storage) {
-  run_serial_wavefront(region, kernel, core::StorageView{storage, 0});
+  kernel.tile(storage, i_first, i_last, 0, region.dim, region.d_begin, region.d_end);
 }
 
 void run_serial_wavefront(const TiledRegion& region, const RowSegmentFn& segment) {

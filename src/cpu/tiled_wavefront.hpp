@@ -102,30 +102,6 @@ void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
                          const RowSegmentFn& segment);
 void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool, const CellFn& cell);
 
-/// Fused multi-grid variant: ONE barrier schedule (one parallel_for +
-/// barrier per tile-diagonal) drives `n_grids` independent full-grid
-/// storages through the same kernel. Grids iterate INNERMOST — each tile
-/// claim makes n_grids back-to-back lowered calls on the same (I,J) block
-/// of every storage — so the per-diagonal scheduling fixed cost (claim
-/// RMWs, pool wake/park, the barrier) is paid once per batch instead of
-/// once per grid. The storages are independent (a kernel call reads and
-/// writes only its own storage), so each grid's results are bit-identical
-/// to a lone run. n_grids == 1 is exactly the single-storage overload.
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const core::LoweredKernel& kernel, std::byte* const* storages,
-                         std::size_t n_grids);
-
-/// Strip-local storage-view variant: each grid's storage is a row-window
-/// buffer described by a core::StorageView (base pointer + first resident
-/// row). {grid.data(), 0} reproduces the full-grid overloads exactly; a
-/// streaming strip passes the strip buffer with its halo row's index, and
-/// every kernel call still receives absolute cell coordinates. The
-/// region's row window must lie inside each view's resident rows (one
-/// halo row above row_begin when the band reads north neighbours).
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const core::LoweredKernel& kernel, const core::StorageView* views,
-                         std::size_t n_grids);
-
 /// Sequential reference: visits the same cells in row-major order (which
 /// also respects dependencies). Used as the correctness oracle in tests
 /// and as the functional part of the sequential baseline. The
@@ -135,8 +111,6 @@ void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
 /// segment overload issues one type-erased call per row.
 void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& kernel,
                           std::byte* storage);
-void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& kernel,
-                          core::StorageView view);
 void run_serial_wavefront(const TiledRegion& region, const RowSegmentFn& segment);
 void run_serial_wavefront(const TiledRegion& region, const CellFn& cell);
 

@@ -140,12 +140,6 @@ void chaos_iteration(std::uint64_t seed, const core::WavefrontSpec& spec,
   opts.queue_workers = 2;
   opts.queue_capacity = 16;
   opts.queue_shards = 2;
-  opts.coalesce_limit = 4;
-  // Continuous batching stays ON under chaos: fused multi-grid sweeps
-  // must hold the same four invariants, faults landing mid-batch
-  // included. A quarter of iterations also arm the admission window.
-  opts.batch_limit = 4;
-  if (rng.bernoulli(0.25)) opts.batch_window = std::chrono::microseconds(50);
   opts.plan_cache_capacity = 4;  // small: the eviction site gets traffic
   opts.profiling = rng.bernoulli(0.25);
   opts.retry_backoff_base = std::chrono::microseconds(2);
@@ -335,72 +329,13 @@ TEST(Chaos, FaultFreeControlRunStaysClean) {
   }
 }
 
-// --- faults inside a fused batch ---------------------------------------
+// --- faults inside the dataflow scheduler ---------------------------------
 
-/// Worker-parking gate backend (local name; same technique as
-/// test_engine_serving.cpp): lets the test build a deterministic
-/// same-plan backlog so the worker provably forms ONE fused batch.
-class ChaosGateBackend final : public Backend {
-public:
-  static std::mutex& mutex() {
-    static std::mutex m;
-    return m;
-  }
-  static std::condition_variable& cv() {
-    static std::condition_variable c;
-    return c;
-  }
-  static bool& open_flag() {
-    static bool open = false;
-    return open;
-  }
-  static int& arrived() {
-    static int n = 0;
-    return n;
-  }
-  const std::string& name() const override {
-    static const std::string n = "chaos-gate";
-    return n;
-  }
-  core::TunableParams prepare(const core::InputParams& in, const core::TunableParams&,
-                              const sim::SystemProfile&) const override {
-    in.validate();
-    return core::TunableParams{1, -1, -1, 1};
-  }
-  core::RunResult run(core::HybridExecutor& executor, const core::WavefrontSpec& spec,
-                      const core::PhaseProgram&, const core::LoweredKernel& lowered,
-                      core::Grid& grid, const core::RunControl*) const override {
-    {
-      std::unique_lock<std::mutex> lock(mutex());
-      ++arrived();
-      cv().notify_all();
-      cv().wait(lock, [] { return open_flag(); });
-    }
-    return executor.run_serial(spec, grid, &lowered);
-  }
-  core::RunResult estimate(const core::HybridExecutor& executor, const core::InputParams& in,
-                           const core::PhaseProgram&) const override {
-    core::RunResult r;
-    core::PhaseTiming t;
-    t.d_end = core::num_diagonals(in.dim);
-    t.ns = executor.estimate_serial(in);
-    r.breakdown.phases.push_back(t);
-    r.rtime_ns = r.breakdown.total_ns();
-    return r;
-  }
-};
-
-// The dataflow scheduler's spawn/steal fault sites, fired INSIDE a fused
-// multi-grid sweep: the batch provably forms (worker parked behind a
-// gate, six same-plan dataflow jobs queued), the steal site's countdown
-// trigger guarantees at least one injection mid-batch, and the four
-// serving invariants must still hold — the fused path falls back to
-// per-member execution and the retry budget absorbs the transients.
-TEST(Chaos, FaultsInsideAFusedBatchHoldTheInvariants) {
-  {
-    auto& reg = BackendRegistry::instance();
-    if (!reg.find("chaos-gate")) reg.add(std::make_shared<ChaosGateBackend>());
-  }
+// The dataflow scheduler's spawn/steal fault sites, fired inside served
+// jobs: six dataflow jobs queue up, the steal site's countdown trigger
+// guarantees at least one injection mid-run, and the four serving
+// invariants must still hold — the retry budget absorbs the transients.
+TEST(Chaos, FaultsInsideDataflowJobsHoldTheInvariants) {
   const core::WavefrontSpec spec = chaos_spec();
   core::Grid reference(spec.dim, spec.elem_bytes);
   {
@@ -416,7 +351,7 @@ TEST(Chaos, FaultsInsideAFusedBatchHoldTheInvariants) {
   fplan.seed = 0xFA57BA7CULL;
   fplan.at(fault::Site::kDataflowSpawn).probability = 0.02;
   fplan.at(fault::Site::kDataflowSpawn).severity = fault::Severity::kTransient;
-  fplan.at(fault::Site::kDataflowSteal).countdown = 3;  // guaranteed mid-batch fire
+  fplan.at(fault::Site::kDataflowSteal).countdown = 3;  // guaranteed mid-run fire
   fplan.at(fault::Site::kDataflowSteal).severity = fault::Severity::kTransient;
   fault::ScopedInjection arm(fplan);
 
@@ -427,22 +362,14 @@ TEST(Chaos, FaultsInsideAFusedBatchHoldTheInvariants) {
     opts.queue_workers = 1;
     opts.queue_shards = 1;
     opts.queue_capacity = 16;
-    opts.coalesce_limit = 8;
-    opts.batch_limit = 8;
     Engine engine(sim::make_i7_2600k(), opts);
-    const Plan gate_plan = engine.compile(spec, core::TunableParams{}, "chaos-gate");
     const Plan plan =
         engine.compile(spec, core::TunableParams{4, -1, -1, 1}, kCpuDataflowBackend);
 
     constexpr std::size_t kJobs = 6;
     std::vector<core::Grid> grids;
-    grids.reserve(kJobs + 1);
+    grids.reserve(kJobs);
     std::vector<std::future<core::RunResult>> futures;
-    futures.push_back(engine.submit(gate_plan, grids.emplace_back(spec.dim, spec.elem_bytes)));
-    {
-      std::unique_lock<std::mutex> lock(ChaosGateBackend::mutex());
-      ChaosGateBackend::cv().wait(lock, [] { return ChaosGateBackend::arrived() >= 1; });
-    }
     SubmitOptions so;
     so.max_retries = 4;
     for (std::size_t j = 0; j < kJobs; ++j) {
@@ -450,19 +377,12 @@ TEST(Chaos, FaultsInsideAFusedBatchHoldTheInvariants) {
       g.fill_poison();
       futures.push_back(engine.submit(plan, g, so).future);
     }
-    {
-      std::lock_guard<std::mutex> lock(ChaosGateBackend::mutex());
-      ChaosGateBackend::open_flag() = true;
-    }
-    ChaosGateBackend::cv().notify_all();
 
     for (std::size_t i = 0; i < futures.size(); ++i) {
       try {
         (void)futures[i].get();
-        if (i > 0) {
-          ASSERT_EQ(std::memcmp(grids[i].data(), reference.data(), reference.size_bytes()), 0)
-              << "job " << i << " completed with a wrong grid";
-        }
+        ASSERT_EQ(std::memcmp(grids[i].data(), reference.data(), reference.size_bytes()), 0)
+            << "job " << i << " completed with a wrong grid";
       } catch (const fault::InjectedError&) {
         // Retry budget exhausted — legal; accounted as failed below.
       }
@@ -470,15 +390,13 @@ TEST(Chaos, FaultsInsideAFusedBatchHoldTheInvariants) {
     engine.shutdown();
 
     const EngineStats s = engine.stats();
-    EXPECT_EQ(s.jobs_batched, kJobs) << "the backlog did not fuse";
-    EXPECT_GE(s.batches_formed, 1u);
     ASSERT_EQ(s.jobs_submitted,
               s.jobs_completed + s.jobs_failed + s.jobs_timed_out + s.jobs_cancelled);
     spawn_visits = fault::Injector::instance().visits(fault::Site::kDataflowSpawn);
     steal_injected = fault::Injector::instance().injected(fault::Site::kDataflowSteal);
   }
-  // The schedule really exercised the new dataflow sites while the batch
-  // was in flight: spawns were visited, and the steal countdown fired.
+  // The schedule really exercised the dataflow sites while jobs were in
+  // flight: spawns were visited, and the steal countdown fired.
   EXPECT_GT(spawn_visits, 0u);
   EXPECT_GE(steal_injected, 1u);
 }
@@ -516,7 +434,6 @@ TEST(Chaos, MidStripTransferFaultsHoldTheServingInvariants) {
     opts.pool_workers = 1;
     opts.queue_workers = 2;
     opts.queue_capacity = 16;
-    opts.batch_limit = 4;
     Engine engine(sim::make_i7_2600k(), opts);
 
     // A residency cap a quarter of the whole grid forces the compile onto

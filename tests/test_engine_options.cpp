@@ -5,9 +5,9 @@
 // interrupted run bit-identically, and the stats counters audit both.
 //
 // Previously EngineOptions was accepted silently whatever it carried: a
-// zero queue_capacity wedged the first submit forever and a zero
-// batch_limit made the batch former misbehave. These are now loud,
-// typed, constructor-time errors.
+// zero queue_capacity wedged the first submit forever and an out-of-range
+// strip pool failed deep inside the first capped compile. These are now
+// loud, typed, constructor-time errors.
 #include "api/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -53,14 +53,6 @@ TEST(EngineOptionsValidation, ZeroQueueCapacityIsATypedConstructorError) {
   EngineOptions o = small_engine();
   o.queue_capacity = 0;
   EXPECT_THROW(Engine(sim::make_i7_2600k(), o), EngineConfigError);
-}
-
-TEST(EngineOptionsValidation, ZeroBatchLimitIsATypedConstructorError) {
-  EngineOptions o = small_engine();
-  o.batch_limit = 0;
-  EXPECT_THROW(Engine(sim::make_i7_2600k(), o), EngineConfigError);
-  o.batch_limit = 1;  // 1 = fusion disabled, perfectly valid
-  Engine ok(sim::make_i7_2600k(), o);
 }
 
 TEST(EngineOptionsValidation, StripBuffersOutsideOneToThreeIsATypedError) {

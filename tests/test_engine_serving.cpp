@@ -1,7 +1,8 @@
 // Serving-scale behavior of the api::Engine submission path: the sharded
 // lock-free queue under many producers, RCU-style plan-cache reads racing
-// evictions and clear_plan_cache(), same-plan request coalescing,
-// try_submit load shedding, failure accounting, and shutdown under load.
+// evictions and clear_plan_cache(), per-job promise resolution (one pop,
+// one run), try_submit load shedding, failure accounting, and shutdown
+// under load.
 // Queue mechanics in isolation are covered by test_sharded_queue.cpp;
 // here the subject is the Engine wired on top of them.
 #include "api/engine.hpp"
@@ -303,68 +304,79 @@ TEST(EngineServing, FailedJobsAreCountedSeparatelyFromCompletions) {
   EXPECT_EQ(eng.stats().jobs_completed, 1u);
 }
 
-// --- coalescing ---------------------------------------------------------
+// --- one pop, one run -----------------------------------------------------
 
-TEST(EngineServing, ConsecutiveSamePlanJobsCoalesceIntoOneSweep) {
-  register_test_backends();
-  gate().reset();
-  EngineOptions o;
-  o.pool_workers = 1;
-  o.queue_workers = 1;
-  o.queue_shards = 1;  // all jobs land in one shard => one batch
-  o.queue_capacity = 16;
-  o.coalesce_limit = 8;
-  Engine eng(sim::make_i7_2600k(), o);
-  const auto spec = serving_spec();
-  const Plan gate_plan = eng.compile(spec, core::TunableParams{}, "test-gate");
-  const Plan plan = eng.compile(spec, core::TunableParams{4, 8, 1, 1});
-
-  // Park the worker on a gated job, then queue five same-plan jobs: when
-  // the worker returns they are popped as one batch and counted as one
-  // leader + four coalesced followers.
-  std::vector<core::Grid> grids;
-  grids.reserve(6);
-  std::vector<std::future<core::RunResult>> futures;
-  futures.push_back(eng.submit(gate_plan, grids.emplace_back(spec.dim, spec.elem_bytes)));
-  gate().wait_arrived(1);
-  for (int i = 0; i < 5; ++i) {
-    futures.push_back(eng.submit(plan, grids.emplace_back(spec.dim, spec.elem_bytes)));
+/// Releasable latch the per-job-resolution probe's kernel parks on.
+struct Latch {
+  std::mutex m;
+  std::condition_variable cv;
+  bool released = false;
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(m);
+      released = true;
+    }
+    cv.notify_all();
   }
-  gate().open_all();
-  for (auto& f : futures) EXPECT_GT(f.get().rtime_ns, 0.0);
-  EXPECT_EQ(eng.stats().jobs_coalesced, 4u);
-  EXPECT_EQ(eng.stats().jobs_completed, 6u);
-}
+  void wait() {
+    std::unique_lock<std::mutex> lock(m);
+    cv.wait(lock, [this] { return released; });
+  }
+};
 
-TEST(EngineServing, CoalesceLimitOneDisablesCoalescing) {
+TEST(EngineServing, EachJobResolvesWhenItsOwnRunEnds) {
+  // The kernel parks on its SECOND-ever call to cell (0, 0) — the first
+  // cell of job 2 — until the test releases the latch. Job 1 ran to its
+  // end before that, so its future must be ready while job 2 is still
+  // parked: no job's promise waits on another job's execution.
   register_test_backends();
   gate().reset();
   EngineOptions o;
   o.pool_workers = 1;
   o.queue_workers = 1;
   o.queue_shards = 1;
-  o.queue_capacity = 16;
-  o.coalesce_limit = 1;
-  // Continuous batching is a separate knob: its cross-shard gather would
-  // still group the queued jobs (and count followers), so it is disabled
-  // too — this test pins "both grouping knobs off => nothing coalesces".
-  o.batch_limit = 1;
   Engine eng(sim::make_i7_2600k(), o);
-  const auto spec = serving_spec();
-  const Plan gate_plan = eng.compile(spec, core::TunableParams{}, "test-gate");
-  const Plan plan = eng.compile(spec, core::TunableParams{4, 8, 1, 1});
+  const auto base = serving_spec();
+  core::Grid ref(base.dim, base.elem_bytes);
+  eng.run(eng.compile(base, core::TunableParams{}, kSerialBackend), ref);
 
+  auto origin_calls = std::make_shared<std::atomic<int>>(0);
+  auto latch = std::make_shared<Latch>();
+  core::WavefrontSpec spec = base;
+  spec.segment = nullptr;
+  spec.tile = {};  // per-cell dispatch, so cell (0, 0) is one kernel call per run
+  spec.content_key = base.content_key + "|parks-on-second-origin";
+  spec.kernel = [inner = base.kernel, origin_calls, latch](
+                    std::size_t i, std::size_t j, const std::byte* w, const std::byte* n,
+                    const std::byte* nw, std::byte* out) {
+    if (i == 0 && j == 0 && origin_calls->fetch_add(1) == 1) latch->wait();
+    inner(i, j, w, n, nw, out);
+  };
+  const Plan gate_plan = eng.compile(base, core::TunableParams{}, "test-gate");
+  const Plan plan = eng.compile(spec, core::TunableParams{4, -1, -1, 1}, kCpuTiledBackend);
+
+  // Park the worker so both jobs are queued before either is popped.
   std::vector<core::Grid> grids;
-  grids.reserve(5);
-  std::vector<std::future<core::RunResult>> futures;
-  futures.push_back(eng.submit(gate_plan, grids.emplace_back(spec.dim, spec.elem_bytes)));
+  grids.reserve(3);
+  auto f_gate = eng.submit(gate_plan, grids.emplace_back(base.dim, base.elem_bytes));
   gate().wait_arrived(1);
-  for (int i = 0; i < 4; ++i) {
-    futures.push_back(eng.submit(plan, grids.emplace_back(spec.dim, spec.elem_bytes)));
-  }
+  core::Grid& g1 = grids.emplace_back(base.dim, base.elem_bytes);
+  core::Grid& g2 = grids.emplace_back(base.dim, base.elem_bytes);
+  auto futures = eng.submit_batch(plan, {&g1, &g2});
   gate().open_all();
+
+  const bool first_ready = futures[0].wait_for(5s) == std::future_status::ready;
+  const bool second_parked = futures[1].wait_for(0s) != std::future_status::ready;
+  latch->release();  // always: a grouping engine then fails instead of hanging
+  EXPECT_TRUE(first_ready) << "job 1's promise waited for job 2's run";
+  EXPECT_TRUE(second_parked) << "job 2 finished without reaching the latch";
+
+  EXPECT_GT(f_gate.get().rtime_ns, 0.0);
   for (auto& f : futures) EXPECT_GT(f.get().rtime_ns, 0.0);
-  EXPECT_EQ(eng.stats().jobs_coalesced, 0u);
+  EXPECT_EQ(std::memcmp(g1.data(), ref.data(), ref.size_bytes()), 0);
+  EXPECT_EQ(std::memcmp(g2.data(), ref.data(), ref.size_bytes()), 0);
+  EXPECT_EQ(origin_calls->load(), 2);
+  expect_conservation(eng.stats());
 }
 
 // --- queue depth gauge --------------------------------------------------
@@ -393,42 +405,6 @@ TEST(EngineServing, QueueDepthGaugeReportsWaitingJobs) {
   gate().open_all();
   for (auto& f : futures) EXPECT_GT(f.get().rtime_ns, 0.0);
   EXPECT_EQ(eng.stats().queue_depth, 0u);
-}
-
-// --- legacy baseline path -----------------------------------------------
-
-TEST(EngineServing, LegacyServingPathServesIdenticalResults) {
-  EngineOptions o;
-  o.pool_workers = 2;
-  o.queue_workers = 2;
-  o.legacy_serving_path = true;
-  Engine legacy(sim::make_i7_2600k(), o);
-  EngineOptions o2 = o;
-  o2.legacy_serving_path = false;
-  Engine sharded(sim::make_i7_2600k(), o2);
-
-  const auto spec = serving_spec(32, 14.0, 2);
-  const core::TunableParams p{4, 10, 2, 1};
-  core::Grid ref(spec.dim, spec.elem_bytes);
-  legacy.run(legacy.compile(spec, p, kSerialBackend), ref);
-
-  for (Engine* eng : {&legacy, &sharded}) {
-    const Plan plan = eng->compile(spec, p);
-    ASSERT_TRUE(eng->compile(spec, p).shares_state_with(plan));  // cache hit both paths
-    core::Grid g(spec.dim, spec.elem_bytes);
-    g.fill_poison();
-    EXPECT_GT(eng->submit(plan, g).get().rtime_ns, 0.0);
-    EXPECT_EQ(std::memcmp(g.data(), ref.data(), g.size_bytes()), 0);
-    // try_submit works on both paths.
-    core::Grid g2(spec.dim, spec.elem_bytes);
-    auto f = eng->try_submit(plan, g2);
-    ASSERT_TRUE(f.has_value());
-    EXPECT_GT(f->get().rtime_ns, 0.0);
-  }
-  // Contention counters only tick on the sharded path.
-  EXPECT_EQ(legacy.queue_stats().pushes, 0u);
-  EXPECT_GE(sharded.queue_stats().pushes, 2u);
-  EXPECT_EQ(legacy.stats().plan_cache_hits, 1u);
 }
 
 // --- thread-local snapshot cache ----------------------------------------
@@ -575,7 +551,6 @@ TEST(EngineServingStress, ShutdownUnderLoadResolvesEveryAcceptedFuture) {
       o.pool_workers = 1;
       o.queue_workers = 1 + static_cast<std::size_t>(rng() % 2);
       o.queue_capacity = 2 + rng() % 6;
-      o.coalesce_limit = 1 + rng() % 4;
       Engine eng(sim::make_i7_2600k(), o);
       const Plan plan = eng.compile(spec, core::TunableParams{4, 8, 1, 1});
       for (int j = 0; j < jobs; ++j) {
@@ -898,7 +873,6 @@ TEST(EngineServing, SubmissionHistoryRecordsRetriesAndDegradation) {
   ASSERT_EQ(h.backends.size(), 1u);
   EXPECT_EQ(h.backends[0], "test-flaky");
   EXPECT_FALSE(h.degraded);
-  EXPECT_FALSE(h.rode_batch);
 
   // Degradation: a permanent failure walks to the first fallback rung,
   // and the history records BOTH backends, in order.
@@ -914,12 +888,10 @@ TEST(EngineServing, SubmissionHistoryRecordsRetriesAndDegradation) {
   EXPECT_EQ(h.backends[0], "test-throwing");
   EXPECT_EQ(h.backends[1], kCpuDataflowBackend);
   EXPECT_TRUE(h.degraded);
-  EXPECT_FALSE(h.rode_batch);
 
   // A job that never carried a control block reports an empty history.
   const Plan plain = eng.compile(spec, core::TunableParams{4, 8, 1, 1});
   EXPECT_EQ(Submission{}.history().attempts, 0u);
-  EXPECT_FALSE(Submission{}.history().rode_batch);
   (void)plain;
 }
 

@@ -1,10 +1,7 @@
-// Contract tests of the serving job spines: the sharded lock-free MPMC
-// queue (api/sharded_queue.hpp) and the single-mutex BoundedQueue it
-// replaced (api/job_queue.hpp, kept as the measured baseline). The two
-// must agree on the external contract — bounded memory, blocking
-// push/pop, close() + drain shutdown — so both are pinned here, including
-// the close-race corner the audit of BoundedQueue's notify semantics
-// documented.
+// Contract tests of the serving job spine, the sharded lock-free MPMC
+// queue (api/sharded_queue.hpp): bounded memory, blocking push/pop,
+// close() + drain shutdown, including the close-race corner where
+// producers woken by close() must neither strand nor invent items.
 #include "api/sharded_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -19,8 +16,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "api/job_queue.hpp"
 
 namespace wavetune::api {
 namespace {
@@ -99,29 +94,6 @@ TEST(ShardedQueue, SingleShardQueueIsFifo) {
     EXPECT_EQ(*v, i);
   }
   EXPECT_FALSE(q.try_pop(0).has_value());
-}
-
-TEST(ShardedQueue, TryPopShardDrainsOnlyThatShardInOrder) {
-  ShardedQueue<int> q(64, 4);
-  const std::size_t own = q.producer_shard();
-  for (int i = 0; i < 5; ++i) {
-    int v = i;
-    ASSERT_TRUE(q.try_push(v));
-  }
-  // Capacity is ample, so nothing fell over to a neighbour shard: the
-  // five items sit consecutively in this thread's shard.
-  EXPECT_EQ(q.stats().push_fallovers, 0u);
-  for (std::size_t s = 0; s < q.shard_count(); ++s) {
-    if (s != own) {
-      EXPECT_FALSE(q.try_pop_shard(s).has_value());
-    }
-  }
-  for (int i = 0; i < 5; ++i) {
-    const std::optional<int> v = q.try_pop_shard(own);
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.try_pop_shard(own).has_value());
 }
 
 TEST(ShardedQueue, ProducerShardIsStablePerThread) {
@@ -356,42 +328,15 @@ TEST(ShardedQueueStress, RandomizedCloseUnderLoadNeverLosesOrDuplicatesItems) {
   }
 }
 
-// --- BoundedQueue regression (the audited baseline) ---------------------
+// --- the close race ----------------------------------------------------------
 
-TEST(BoundedQueueContract, PushAfterCloseReturnsFalseAndPopDrainsThenStops) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  q.close();
-  q.close();  // idempotent
-  EXPECT_FALSE(q.push(3));
-  int v = 4;
-  EXPECT_FALSE(q.try_push(v));
-  EXPECT_EQ(q.pop(), std::optional<int>(1));
-  EXPECT_EQ(q.pop(), std::optional<int>(2));
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BoundedQueueContract, TryPushRespectsTheBoundAndKeepsRejectedItems) {
-  BoundedQueue<std::string> q(2);
-  std::string a = "a";
-  std::string b = "b";
-  std::string c = "c";
-  EXPECT_TRUE(q.try_push(a));
-  EXPECT_TRUE(q.try_push(b));
-  EXPECT_FALSE(q.try_push(c));
-  EXPECT_EQ(c, "c");  // rejected payload untouched
-  EXPECT_EQ(q.size(), 2u);
-  q.close();
-}
-
-TEST(BoundedQueueContract, ProducersUnblockedByCloseCannotStrandOrInventItems) {
+TEST(ShardedQueueStress, ProducersUnblockedByCloseCannotStrandOrInventItems) {
   // The audited close-race: producers blocked on a full queue are woken
   // by close(), find closed_, and return false WITHOUT enqueueing —
   // consumers must see exactly the items accepted before the close, then
   // nullopt. 50 iterations to give the race room.
   for (int iter = 0; iter < 50; ++iter) {
-    BoundedQueue<int> q(2);
+    ShardedQueue<int> q(2, 1);
     ASSERT_TRUE(q.push(1));
     ASSERT_TRUE(q.push(2));
     std::atomic<int> rejected{0};
@@ -403,7 +348,7 @@ TEST(BoundedQueueContract, ProducersUnblockedByCloseCannotStrandOrInventItems) {
     }
     std::vector<int> drained;
     std::thread consumer([&] {
-      while (std::optional<int> v = q.pop()) drained.push_back(*v);
+      while (std::optional<int> v = q.pop(0)) drained.push_back(*v);
     });
     std::this_thread::sleep_for(std::chrono::microseconds(iter * 7 % 200));
     q.close();
@@ -414,24 +359,8 @@ TEST(BoundedQueueContract, ProducersUnblockedByCloseCannotStrandOrInventItems) {
     // appear. accepted = 2 preloaded + (3 - rejected).
     const int accepted = 2 + (3 - rejected.load());
     EXPECT_EQ(static_cast<int>(drained.size()), accepted) << "iteration " << iter;
-    EXPECT_FALSE(q.pop().has_value());
+    EXPECT_FALSE(q.pop(0).has_value());
   }
-}
-
-TEST(BoundedQueueContract, CloseWakesBlockedConsumers) {
-  BoundedQueue<int> q(4);
-  std::atomic<int> finished{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 2; ++c) {
-    consumers.emplace_back([&] {
-      EXPECT_FALSE(q.pop().has_value());
-      finished.fetch_add(1);
-    });
-  }
-  std::this_thread::sleep_for(20ms);
-  q.close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(finished.load(), 2);
 }
 
 }  // namespace

@@ -9,8 +9,6 @@
 //   * run and estimate stay ONE walk on streamed programs (simulated
 //     fields agree exactly), and the double-buffered schedule is never
 //     slower than its own serialized-strip baseline;
-//   * fused batches of streamed programs keep the bit-identical-to-lone-
-//     run invariant;
 //   * peak simulated-device residency is O(strip_rows x dim), asserted
 //     through the accounting allocator (ocl::Buffer);
 //   * strip boundaries are checkpoint points: a run resumed from a
@@ -237,34 +235,6 @@ TEST(StreamedExecution, OverlapNeverMakesTheScheduleSlowerThanSerializedStrips) 
       EXPECT_GT(t.kernel_busy_ns, 0.0);
     }
     EXPECT_TRUE(saw_gpu_strips);
-  }
-}
-
-TEST(StreamedExecution, FusedBatchMembersBitIdenticalToLoneRuns) {
-  const std::size_t dim = 33;
-  HybridExecutor ex(sim::make_i7_2600k(), 2);
-  const auto app = small_apps(dim).front();
-  const InputParams in = app.spec.inputs();
-  const PhaseProgram streamed =
-      apply_strips(plan_phases(in, TunableParams{4, 20, -1, 5}), 7, 2);
-
-  Grid lone(dim, app.spec.elem_bytes);
-  const RunResult lone_r = ex.run(app.spec, streamed, lone);
-
-  std::vector<Grid> grids;
-  grids.reserve(3);
-  std::vector<BatchMember> members;
-  for (int i = 0; i < 3; ++i) grids.emplace_back(dim, app.spec.elem_bytes);
-  for (auto& g : grids) {
-    g.fill_poison();
-    members.push_back(BatchMember{&g, nullptr});
-  }
-  const std::vector<BatchOutcome> out = ex.run_batch(app.spec, streamed, members);
-  ASSERT_EQ(out.size(), members.size());
-  for (std::size_t m = 0; m < out.size(); ++m) {
-    EXPECT_EQ(out[m].stop, RunControl::Stop::kNone);
-    EXPECT_TRUE(grids_equal(lone, grids[m])) << "member " << m;
-    EXPECT_DOUBLE_EQ(out[m].result.rtime_ns, lone_r.rtime_ns) << "member " << m;
   }
 }
 
