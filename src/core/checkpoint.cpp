@@ -9,15 +9,17 @@ namespace wavetune::core {
 
 namespace {
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out.insert(out.end(), p, p + sizeof v);
+// Appends by resize + memcpy: GCC 12 at -O3 misreads a range insert of a
+// scalar's bytes as a write past the end (-Wstringop-overflow).
+void put_raw(std::vector<std::byte>& out, const void* p, std::size_t n) {
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  std::memcpy(out.data() + at, p, n);
 }
 
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out.insert(out.end(), p, p + sizeof v);
-}
+void put_u32(std::vector<std::byte>& out, std::uint32_t v) { put_raw(out, &v, sizeof v); }
+
+void put_u64(std::vector<std::byte>& out, std::uint64_t v) { put_raw(out, &v, sizeof v); }
 
 struct Cursor {
   std::span<const std::byte> bytes;

@@ -21,6 +21,48 @@ constexpr long long kValidNone = LLONG_MAX / 4;  ///< no row valid
 
 long long ll(std::size_t v) { return static_cast<long long>(v); }
 
+/// Smallest host tile side for the functional sweep of a single-GPU phase
+/// or strip. The simulated work-group shape (gpu_tile) only prices the
+/// launches; the cells themselves run as one dataflow sweep on the
+/// executor's pool with tiles of max(gpu_tile, kGpuHostTileMin). Smaller
+/// tiles cost about one pool wake-up each for too little work; much
+/// larger ones leave a short strip too few tiles to spread.
+constexpr std::size_t kGpuHostTileMin = 16;
+
+std::size_t gpu_host_tile(const PhaseDesc& ph) { return std::max(ph.gpu_tile, kGpuHostTileMin); }
+
+/// A multi-GPU flush with fewer queued cells than this runs on the calling
+/// thread: waking a pool worker costs more than the work (a halo-0 split
+/// flushes once per diagonal).
+constexpr std::size_t kFlushInlineCells = 2048;
+
+/// One device's kernel launch on diagonal d: rows [lo, hi].
+struct DiagRun {
+  std::size_t d;
+  std::size_t lo, hi;
+};
+
+/// Computes one device's queued diagonal runs on its buffer, row-major.
+/// Between two flushes the runs cover consecutive diagonals and both row
+/// bounds are nondecreasing in d (a device's validity frontier only moves
+/// back at a halo swap, and every swap flushes first), so row i's cells
+/// are one contiguous column span: one block call per row. Row-major
+/// order computes each cell after its in-epoch north and west neighbours,
+/// and cells outside the epoch do not change during it, so the values
+/// equal those of the launch-by-launch schedule.
+void run_device_epoch(const LoweredKernel& kernel, std::byte* storage,
+                      const std::vector<DiagRun>& runs) {
+  if (runs.empty()) return;
+  // Row i's cells come from runs [a, b): those with hi >= i and lo <= i.
+  std::size_t a = 0;
+  std::size_t b = 0;
+  for (std::size_t i = runs.front().lo; i <= runs.back().hi; ++i) {
+    while (a < runs.size() && runs[a].hi < i) ++a;
+    while (b < runs.size() && runs[b].lo <= i) ++b;
+    if (a < b) kernel.block(storage, i, i + 1, runs[a].d - i, runs[b - 1].d - i + 1);
+  }
+}
+
 using WallClock = std::chrono::steady_clock;
 
 double wall_since(WallClock::time_point t0) {
@@ -134,17 +176,6 @@ struct HybridExecutor::FunctionalCtx {
   /// resident grid row is `base_row`.
   std::size_t local_offset(std::size_t base_row, std::size_t i, std::size_t j) const {
     return ((i - base_row) * spec->dim + j) * spec->elem_bytes;
-  }
-
-  /// Computes cell (i, j): a one-cell block (diagonal sweeps have no
-  /// row-contiguous runs to batch).
-  void compute_cell(std::byte* storage, std::size_t i, std::size_t j) const {
-    lowered->block(storage, i, i + 1, j, j + 1);
-  }
-  /// Strip-local variant against a row-window buffer.
-  void compute_cell_local(std::byte* base, std::size_t base_row, std::size_t i,
-                          std::size_t j) const {
-    lowered->block_local(base, base_row, i, i + 1, j, j + 1);
   }
 
   /// Copies the cells of diagonals [d_begin, d_end) with rows in
@@ -467,6 +498,7 @@ void HybridExecutor::gpu_phase_single(const InputParams& in, const PhaseDesc& ph
     fctx->copy_diag_rows(fctx->host->data(), fctx->dev[0].data(), frontier_lo, d1, 0, dim);
   }
 
+  // Launch charges only: the functional work is one sweep below.
   if (ph.gpu_tile <= 1) {
     // Untiled: one kernel per diagonal (paper Fig. 2).
     for (std::size_t d = d0; d < d1; ++d) {
@@ -478,12 +510,6 @@ void HybridExecutor::gpu_phase_single(const InputParams& in, const PhaseDesc& ph
       shape.bytes_per_item = esize;
       dev.charge_kernel(shape);
       ++out.kernel_launches;
-      if (fctx) {
-        const std::size_t lo = diag_row_lo(dim, d);
-        const std::size_t hi = diag_row_hi(dim, d);
-        std::byte* storage = fctx->dev[0].data();
-        for (std::size_t i = lo; i <= hi; ++i) fctx->compute_cell(storage, i, d - i);
-      }
     }
   } else {
     // Tiled: one kernel per tile-diagonal; work-groups are g x g tiles
@@ -503,18 +529,14 @@ void HybridExecutor::gpu_phase_single(const InputParams& in, const PhaseDesc& ph
       shape.items = shape.groups * g * g;
       dev.charge_kernel(shape);
       ++out.kernel_launches;
-      if (fctx) {
-        const std::size_t i_tile_lo = diag_row_lo(Mg, k);
-        const std::size_t i_tile_hi = diag_row_hi(Mg, k);
-        for (std::size_t I = i_tile_lo; I <= i_tile_hi; ++I) {
-          const std::size_t J = k - I;
-          // One lowered-kernel call per tile, band clamp included — the
-          // functional mirror of one simulated work-group.
-          fctx->lowered->tile(fctx->dev[0].data(), I * g, std::min((I + 1) * g, dim), J * g,
-                              std::min((J + 1) * g, dim), d0, d1);
-        }
-      }
     }
+  }
+  // The band's cells on the device buffer, as one dependency-respecting
+  // sweep on the pool: any such order yields the same cells as the
+  // launch-by-launch schedule charged above.
+  if (fctx) {
+    cpu::run_dataflow_wavefront(cpu::TiledRegion{dim, d0, d1, gpu_host_tile(ph)}, *fctx->pool,
+                                *fctx->lowered, fctx->dev[0].data());
   }
 
   // Bulk transfer out: the computed band region back to the host.
@@ -662,8 +684,6 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
 
     auto enqueue_k = [&](std::size_t s) {
       const StripInfo& si = info[s];
-      const std::size_t b = buf_of(s);
-      const std::size_t base_row = base_row_of(s);
       bool first_launch = true;
       auto launch = [&](const ocl::LaunchShape& shape) {
         deps.clear();
@@ -693,12 +713,6 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
           shape.tsize_units = in.tsize;
           shape.bytes_per_item = esize;
           launch(shape);
-          if (f && s >= resume_strip) {
-            const std::size_t lo = std::max(diag_row_lo(dim, d), si.r0);
-            const std::size_t hi = std::min(diag_row_hi(dim, d), si.r1 - 1);
-            std::byte* base = f->dev[b].data();
-            for (std::size_t i = lo; i <= hi; ++i) f->compute_cell_local(base, base_row, i, d - i);
-          }
         }
       } else {
         // Tiled: one kernel per tile-diagonal, work-groups clipped to the
@@ -723,16 +737,14 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
           shape.bytes_per_item = esize;
           shape.items = shape.groups * g * g;
           launch(shape);
-          if (f && s >= resume_strip) {
-            for (std::size_t I = I_lo; I <= I_hi; ++I) {
-              const std::size_t J = k - I;
-              const std::size_t i0 = std::max(I * g, si.r0);
-              const std::size_t i1 = std::min({(I + 1) * g, dim, si.r1});
-              f->lowered->tile_local(f->dev[b].data(), base_row, i0, i1, J * g,
-                                     std::min((J + 1) * g, dim), d0, d1);
-            }
-          }
         }
+      }
+      // K_s's cells: one dataflow sweep over the strip's rows on its
+      // buffer, addressed strip-locally (row r0-1 is the buffer's row 0).
+      if (f && s >= resume_strip) {
+        cpu::run_dataflow_wavefront(cpu::TiledRegion{dim, d0, d1, gpu_host_tile(ph), si.r0, si.r1},
+                                    *f->pool, *f->lowered, f->dev[buf_of(s)].data(),
+                                    base_row_of(s));
       }
     };
 
@@ -835,15 +847,44 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
     v_dm2[g] = frontier_v(g, ll(d0) - 2);
   }
 
+  // Functional work, decoupled from the launch charges: each device's
+  // per-diagonal row runs queue up and run as one pool task per device
+  // (devices are concurrent, as on the paper's hardware) whenever a halo
+  // swap is about to read a neighbour's buffer, and at phase end. A task
+  // touches only its own device buffer, so the devices never race.
+  std::vector<std::vector<DiagRun>> pending(fctx ? n : 0);
+  auto flush = [&] {
+    std::size_t cells = 0;
+    for (const std::vector<DiagRun>& q : pending) {
+      for (const DiagRun& r : q) cells += r.hi - r.lo + 1;
+    }
+    if (cells == 0) return;  // a chained swap right after another
+    struct FlushCtx {
+      FunctionalCtx* f;
+      std::vector<std::vector<DiagRun>>* pending;
+    } fc{fctx, &pending};
+    fctx->pool->parallel_for(
+        0, n,
+        [](void* pv, std::size_t g) {
+          const FlushCtx& c = *static_cast<const FlushCtx*>(pv);
+          run_device_epoch(*c.f->lowered, c.f->dev[g].data(), (*c.pending)[g]);
+        },
+        &fc, cells < kFlushInlineCells ? n : 1);
+    for (std::vector<DiagRun>& q : pending) q.clear();
+  };
+
+  // Per-diagonal device plan, reused across diagonals (this walk is the
+  // autotuner's estimate hot path too).
+  std::vector<bool> active(n);
+  std::vector<long long> compute_lo(n);
+  std::vector<long long> compute_hi(n);
   for (std::size_t d = d0; d < d1; ++d) {
     const long long i_lo = ll(diag_row_lo(dim, d));
     const long long i_hi = ll(diag_row_hi(dim, d));
 
     // Plan each device's row range; fire the chained halo swaps first so
     // their transfers precede this diagonal's kernels on the timelines.
-    std::vector<bool> active(n, false);
-    std::vector<long long> compute_lo(n, 0);
-    std::vector<long long> compute_hi(n, -1);
+    active.assign(n, false);
     for (std::size_t g = 0; g < n; ++g) {
       const long long own_lo = std::max(split[g], i_lo);
       const long long own_hi = std::min(split[g + 1] - 1, i_hi);
@@ -867,6 +908,7 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
         out.swap_ns += 2.0 * ctx.pcie_model().transfer_ns(bytes);
         ++out.swap_count;
         if (fctx) {
+          flush();  // the swap reads device g-1's last two diagonals
           for (long long pd = ll(d) - 2; pd <= ll(d) - 1; ++pd) {
             if (pd < 0) continue;
             fctx->copy_diag_rows(fctx->dev[g - 1].data(), fctx->dev[g].data(),
@@ -897,16 +939,15 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
       ctx.device(g).charge_kernel(shape);
       ++out.kernel_launches;
       if (fctx) {
-        std::byte* storage = fctx->dev[g].data();
-        for (long long i = compute_lo[g]; i <= compute_hi[g]; ++i) {
-          fctx->compute_cell(storage, static_cast<std::size_t>(i),
-                             d - static_cast<std::size_t>(i));
-        }
+        pending[g].push_back(DiagRun{d, static_cast<std::size_t>(compute_lo[g]),
+                                     static_cast<std::size_t>(compute_hi[g])});
       }
       v_dm2[g] = v_dm1[g];
       v_dm1[g] = compute_lo[g] <= i_lo ? kValidAll : compute_lo[g];
     }
   }
+
+  if (fctx) flush();
 
   // Bulk transfers out: each device returns its owned region cells.
   for (std::size_t g = 0; g < n; ++g) {

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <vector>
 
 #include "core/diag.hpp"
@@ -49,10 +50,11 @@ struct DataflowState {
   const TiledRegion* region = nullptr;
   ThreadPool* pool = nullptr;
   /// Tile dispatch: exactly one of `lowered` (hot path — one indirect
-  /// call per tile over the full-grid `storage`) or `segment` (legacy
-  /// type-erased per-row path) is set.
+  /// call per tile over `storage`, full-grid or a row window starting at
+  /// `base_row`) or `segment` (legacy type-erased per-row path) is set.
   const core::LoweredKernel* lowered = nullptr;
   std::byte* storage = nullptr;
+  std::size_t base_row = 0;  ///< first grid row `storage` holds
   const RowSegmentFn* segment = nullptr;
   std::size_t M = 0;  ///< tiles per side
   TileDiagRange range;
@@ -125,7 +127,8 @@ struct DataflowState {
     if (lowered) {
       // One indirect call per tile; clamping and the row loop live inside
       // the lowered dispatch.
-      lowered->tile(storage, row_lo, row_hi, col_lo, col_hi, region->d_begin, region->d_end);
+      lowered->tile_local(storage, base_row, row_lo, row_hi, col_lo, col_hi, region->d_begin,
+                          region->d_end);
       return;
     }
     for (std::size_t i = row_lo; i < row_hi; ++i) {
@@ -312,10 +315,15 @@ const char* scheduler_name(Scheduler s) {
 }
 
 void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const core::LoweredKernel& kernel, std::byte* storage) {
+                            const core::LoweredKernel& kernel, std::byte* storage,
+                            std::size_t base_row) {
+  if (base_row > 0 && base_row >= region.row_begin) {
+    throw std::invalid_argument("run_dataflow_wavefront: row window starts at or above base_row");
+  }
   DataflowState state;
   state.lowered = &kernel;
   state.storage = storage;
+  state.base_row = base_row;
   run_dataflow_impl(region, pool, state);
 }
 

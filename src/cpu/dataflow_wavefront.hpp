@@ -51,8 +51,16 @@ const char* scheduler_name(Scheduler s);
 /// per-cell callees onto the same traversal. Exceptions thrown by the
 /// callee — including from tiles stolen by other workers — propagate to
 /// the caller (first one wins); remaining tiles are skipped.
+///
+/// `storage` is full-grid storage by default. A non-zero `base_row` makes
+/// it a row-window buffer holding grid rows [base_row, ...) at the full
+/// row stride (a streamed GPU phase's strip buffer, see
+/// core::LoweredKernel::tile_local); the region's row window must then
+/// start strictly below it (base_row < region.row_begin), so every north
+/// neighbour the sweep reads lies inside the buffer.
 void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const core::LoweredKernel& kernel, std::byte* storage);
+                            const core::LoweredKernel& kernel, std::byte* storage,
+                            std::size_t base_row = 0);
 void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
                             const RowSegmentFn& segment);
 void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool, const CellFn& cell);

@@ -136,8 +136,7 @@ std::string LinearModel::describe(const std::vector<std::string>& feature_names)
   bool first = true;
   for (std::size_t c = 0; c < weights_.size(); ++c) {
     if (weights_[c] == 0.0) continue;
-    const std::string name =
-        c < feature_names.size() ? feature_names[c] : "x" + std::to_string(c);
+    const std::string name = feature_label(feature_names, c);
     if (!first) ss << (weights_[c] >= 0 ? " + " : " - ");
     else if (weights_[c] < 0) ss << "-";
     ss << util::format_double(std::abs(weights_[c]), 4) << "*" << name;

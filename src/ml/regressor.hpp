@@ -5,6 +5,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "ml/dataset.hpp"
 #include "util/json.hpp"
@@ -32,6 +33,17 @@ public:
     return out;
   }
 };
+
+/// Name of feature `index` in describe() output: the caller's name when
+/// given, "x<index>" otherwise. Built by append, not `"x" + to_string(i)`,
+/// which GCC 12 at -O3 flags as an overlapping memcpy (-Wrestrict).
+inline std::string feature_label(const std::vector<std::string>& feature_names,
+                                 std::size_t index) {
+  if (index < feature_names.size()) return feature_names[index];
+  std::string label = "x";
+  label.append(std::to_string(index));
+  return label;
+}
 
 /// Reconstructs a regressor from its to_json() output (see registry.cpp).
 std::unique_ptr<Regressor> regressor_from_json(const util::Json& j);

@@ -401,6 +401,108 @@ TEST(Chaos, FaultsInsideDataflowJobsHoldTheInvariants) {
   EXPECT_GE(steal_injected, 1u);
 }
 
+// The same dataflow spawn/steal sites, fired inside GPU phases: a
+// single-GPU phase and every strip of a streamed one run their cells as
+// one dataflow sweep on the executor's pool, and the dual-GPU split runs
+// its devices as pool tasks. Jobs of all three plans interleave on one
+// engine; every future must resolve, the counters must conserve, and
+// every completed grid must be bit-identical to the serial reference.
+TEST(Chaos, FaultsInsideGpuPhaseSweepsHoldTheInvariants) {
+  // Big enough for several host tiles per GPU sweep (16-cell tiles), so
+  // the dataflow scheduler spawns and steals instead of running inline.
+  apps::SyntheticParams sp;
+  sp.dim = 72;
+  sp.tsize = 10.0;
+  sp.dsize = 1;
+  sp.functional_iters = 2;
+  const core::WavefrontSpec spec = apps::make_synthetic_spec(sp);
+  core::Grid reference(spec.dim, spec.elem_bytes);
+  {
+    EngineOptions ropts;
+    ropts.pool_workers = 1;
+    ropts.queue_workers = 1;
+    ropts.profiling = false;
+    Engine ref_engine(sim::make_i7_2600k(), ropts);
+    ref_engine.run(ref_engine.compile(spec, core::TunableParams{}, kSerialBackend), reference);
+  }
+
+  fault::InjectionPlan fplan;
+  fplan.seed = 0x6B0F1A7EULL;
+  fplan.at(fault::Site::kDataflowSpawn).probability = 0.02;
+  fplan.at(fault::Site::kDataflowSpawn).severity = fault::Severity::kTransient;
+  fplan.at(fault::Site::kDataflowSteal).countdown = 3;  // guaranteed mid-run fire
+  fplan.at(fault::Site::kDataflowSteal).severity = fault::Severity::kTransient;
+  fault::ScopedInjection arm(fplan);
+
+  std::uint64_t spawn_visits = 0, steal_injected = 0;
+  {
+    EngineOptions opts;
+    opts.pool_workers = 2;
+    opts.queue_workers = 2;
+    opts.queue_capacity = 32;
+    Engine engine(sim::make_i7_2600k(), opts);
+
+    // The single-GPU and streamed plans put the whole grid on the GPU, so
+    // every dataflow site visit below comes from a GPU-phase sweep.
+    const long long full = static_cast<long long>(spec.dim) - 1;
+    CompileOptions single;
+    single.backend = kHybridBackend;
+    single.params = core::TunableParams{4, full, -1, 8};
+    CompileOptions streamed = single;
+    streamed.max_resident_bytes =
+        core::whole_grid_resident_bytes(spec.dim, spec.elem_bytes) / 4;
+    CompileOptions dual = single;
+    dual.params = core::TunableParams{4, full / 2, 6, 1};
+    const std::vector<Plan> plans = {engine.compile(spec, single), engine.compile(spec, streamed),
+                                     engine.compile(spec, dual)};
+    for (std::size_t k = 0; k < 2; ++k) {
+      ASSERT_EQ(plans[k].program().phases.size(), 1u) << plans[k].program().describe();
+      ASSERT_TRUE(plans[k].program().phases[0].is_gpu()) << plans[k].program().describe();
+    }
+    ASSERT_TRUE(plans[1].program().phases[0].streamed()) << plans[1].program().describe();
+    ASSERT_EQ(plans[2].program().max_gpu_count(), 2);
+
+    constexpr std::size_t kJobsPerPlan = 4;
+    std::deque<core::Grid> grids;
+    std::vector<std::future<core::RunResult>> futures;
+    for (std::size_t j = 0; j < kJobsPerPlan * plans.size(); ++j) {
+      core::Grid& g = grids.emplace_back(spec.dim, spec.elem_bytes);
+      g.fill_poison();
+      SubmitOptions so;
+      so.max_retries = j % 2 == 0 ? 0 : 4;  // half without a retry budget
+      futures.push_back(engine.submit(plans[j % plans.size()], g, so).future);
+    }
+    engine.shutdown();
+
+    std::size_t completed = 0;
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      ASSERT_TRUE(futures[i].valid());
+      ASSERT_EQ(futures[i].wait_for(0s), std::future_status::ready)
+          << "a GPU-phase job's future is unresolved after shutdown";
+      try {
+        (void)futures[i].get();
+        ++completed;
+        ASSERT_EQ(std::memcmp(grids[i].data(), reference.data(), reference.size_bytes()), 0)
+            << "job " << i << " (plan " << i % plans.size() << ") completed with a wrong grid";
+      } catch (const fault::InjectedError& e) {
+        EXPECT_TRUE(e.site() == fault::Site::kDataflowSpawn ||
+                    e.site() == fault::Site::kDataflowSteal);
+      }
+    }
+    EXPECT_GT(completed, 0u);
+
+    const EngineStats s = engine.stats();
+    ASSERT_EQ(s.jobs_submitted,
+              s.jobs_completed + s.jobs_failed + s.jobs_timed_out + s.jobs_cancelled);
+    ASSERT_EQ(s.jobs_submitted, futures.size());
+    ASSERT_EQ(s.queue_depth, 0u);
+    spawn_visits = fault::Injector::instance().visits(fault::Site::kDataflowSpawn);
+    steal_injected = fault::Injector::instance().injected(fault::Site::kDataflowSteal);
+  }
+  EXPECT_GT(spawn_visits, 0u);
+  EXPECT_GE(steal_injected, 1u);
+}
+
 // --- faults inside a streamed (out-of-core) run -------------------------
 
 // The strip transfer queue's fault site, fired mid-strip inside a

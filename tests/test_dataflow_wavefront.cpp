@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -159,6 +160,99 @@ TEST(DataflowWavefront, SingleWorkerPoolRunsInline) {
   std::vector<std::uint64_t> got(dim * dim, 0);
   run_dataflow_wavefront(region, pool, mix_segment(got, dim));
   EXPECT_EQ(ref, got);
+}
+
+/// mix_segment's recurrence as a raw tile kernel over uint64 cells, for
+/// the LoweredKernel entry (pointer contract of core/lowered.hpp).
+void mix_tile(const void*, std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
+              std::size_t stride, const std::byte* west, const std::byte* north,
+              const std::byte*, std::byte* out) {
+  constexpr std::size_t kElem = sizeof(std::uint64_t);
+  for (std::size_t i = i0; i < i1; ++i) {
+    const std::size_t r = i - i0;
+    auto* row = reinterpret_cast<std::uint64_t*>(out + r * stride);
+    const auto* up = r > 0 ? reinterpret_cast<const std::uint64_t*>(out + (r - 1) * stride)
+                           : reinterpret_cast<const std::uint64_t*>(north);
+    for (std::size_t j = j0; j < j1; ++j) {
+      std::uint64_t w = 1;
+      if (j > j0) {
+        w = row[j - j0 - 1];
+      } else if (west) {
+        std::memcpy(&w, west + r * stride, kElem);
+      }
+      const std::uint64_t n = up ? up[j - j0] : 1;
+      row[j - j0] = 3 * w + n + i + j;
+    }
+  }
+}
+
+core::LoweredKernel mix_lowered(std::size_t dim) {
+  core::LoweredKernel k;
+  k.fn = mix_tile;
+  k.dim = dim;
+  k.elem_bytes = sizeof(std::uint64_t);
+  k.native = true;
+  return k;
+}
+
+// The strip-local entry: a row-window buffer holding only grid rows
+// [base_row, r1) must reproduce the full-grid run's rows [r0, r1), for
+// full and banded regions, with one worker (inline sweep) and four. Each
+// buffer is an exactly-sized heap block, so under ASan any read before
+// `base` — the north row of the window's first row lies at base, never
+// before it — is a reported heap-buffer-overflow.
+TEST(DataflowWavefront, RowWindowBufferMatchesFullGridRows) {
+  constexpr std::uint64_t kPoison = 0xDEADBEEFDEADBEEFull;
+  const std::size_t dim = 37;
+  const std::size_t total = 2 * dim - 1;
+  const core::LoweredKernel kernel = mix_lowered(dim);
+  const std::vector<std::uint64_t> ref = serial_reference(TiledRegion{dim, 0, total, 1});
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(workers);
+    for (const std::size_t tile : {std::size_t{4}, std::size_t{16}}) {
+      for (const auto& [r0, r1] : {std::pair<std::size_t, std::size_t>{0, 12},
+                                  std::pair<std::size_t, std::size_t>{10, 23},
+                                  std::pair<std::size_t, std::size_t>{30, 37}}) {
+        for (const auto& [d0, d1] : {std::pair<std::size_t, std::size_t>{0, total},
+                                    std::pair<std::size_t, std::size_t>{15, 50}}) {
+          const std::size_t base_row = r0 == 0 ? 0 : r0 - 1;
+          // Stage what the band needs: the halo row and every cell of the
+          // window outside the band; the band cells start as poison.
+          std::vector<std::uint64_t> buf((r1 - base_row) * dim, kPoison);
+          for (std::size_t i = base_row; i < r1; ++i) {
+            for (std::size_t j = 0; j < dim; ++j) {
+              const bool in_band = i >= r0 && i + j >= d0 && i + j < d1;
+              if (!in_band) buf[(i - base_row) * dim + j] = ref[i * dim + j];
+            }
+          }
+          run_dataflow_wavefront(TiledRegion{dim, d0, d1, tile, r0, r1}, pool, kernel,
+                                 reinterpret_cast<std::byte*>(buf.data()), base_row);
+          for (std::size_t i = base_row; i < r1; ++i) {
+            for (std::size_t j = 0; j < dim; ++j) {
+              ASSERT_EQ(buf[(i - base_row) * dim + j], ref[i * dim + j])
+                  << "workers=" << workers << " tile=" << tile << " rows=[" << r0 << "," << r1
+                  << ") d=[" << d0 << "," << d1 << ") cell " << i << "," << j;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DataflowWavefront, RowWindowMustStartBelowTheBufferBase) {
+  ThreadPool pool(2);
+  const std::size_t dim = 16;
+  const core::LoweredKernel kernel = mix_lowered(dim);
+  std::vector<std::uint64_t> buf(dim * dim, 0);
+  auto* base = reinterpret_cast<std::byte*>(buf.data());
+  // Window starting AT the base row: its north row would lie before base.
+  EXPECT_THROW(run_dataflow_wavefront(TiledRegion{dim, 0, 2 * dim - 1, 4, 5, 9}, pool, kernel,
+                                      base, 5),
+               std::invalid_argument);
+  EXPECT_THROW(run_dataflow_wavefront(TiledRegion{dim, 0, 2 * dim - 1, 4, 5, 9}, pool, kernel,
+                                      base, 7),
+               std::invalid_argument);
 }
 
 TEST(DataflowWavefront, SchedulerNames) {
