@@ -6,12 +6,14 @@
 //
 // `--json[=PATH]` switches to the perf-tracking mode: for editdist and
 // seqcmp at dim 512 and 2048 it times (a) the kernel ABI ladder — the
-// seed's per-cell dispatch, the batched segment dispatch, and the
-// one-call-per-tile lowered dispatch (the --kernel-abi axis) — and (b)
-// the barriered per-tile-diagonal scheduler against the dataflow
-// dependency-counter scheduler (the --scheduler axis, small and medium
-// tiles, >= 4 workers), and writes the ns/cell numbers to PATH (default
-// BENCH_micro.json) so CI records the hot-loop trajectory on every push.
+// spec's cell kernel, its segment kernel, and its native tile kernel,
+// each lowered by WavefrontSpec::lower() (the cell and segment rungs
+// through its fallback adapters) and swept by cpu::run_wavefront (the
+// --kernel-abi axis) — and (b) the barriered per-tile-diagonal scheduler
+// against the dataflow dependency-counter scheduler on the tile rung (the
+// --scheduler axis, small and medium tiles, >= 4 workers), and writes the
+// ns/cell numbers to PATH (default BENCH_micro.json) so CI records the
+// hot-loop trajectory on every push.
 //
 //   --kernel-abi={cell,segment,tile,all}  which ABI rungs to measure
 //                                         (default all; implies --json)
@@ -41,7 +43,6 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -52,7 +53,6 @@
 #include "core/phase_program.hpp"
 #include "cpu/dataflow_wavefront.hpp"
 #include "cpu/thread_pool.hpp"
-#include "cpu/tiled_wavefront.hpp"
 #include "ml/m5_tree.hpp"
 #include "sim/system_profile.hpp"
 #include "util/json.hpp"
@@ -175,17 +175,32 @@ void BM_ThreadPoolParallelFor(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreadPoolParallelFor)->Arg(1)->Arg(2)->Arg(4);
 
+/// Path counting over uint32 cells as a per-cell kernel: lower() adapts it
+/// through both fallback rungs, the path any cell-ABI spec takes.
+core::LoweredKernel path_kernel(std::size_t dim) {
+  core::WavefrontSpec spec;
+  spec.dim = dim;
+  spec.elem_bytes = sizeof(std::uint32_t);
+  spec.kernel = [](std::size_t i, std::size_t j, const std::byte* w, const std::byte* n,
+                   const std::byte*, std::byte* out) {
+    std::uint32_t wv = 0, nv = 0;
+    if (w) std::memcpy(&wv, w, sizeof wv);
+    if (n) std::memcpy(&nv, n, sizeof nv);
+    const std::uint32_t v = (i == 0 && j == 0) ? 1 : wv + nv;
+    std::memcpy(out, &v, sizeof v);
+  };
+  return spec.lower();
+}
+
 void BM_TiledWavefrontFunctional(benchmark::State& state) {
   const std::size_t dim = 128;
   std::vector<std::uint32_t> v(dim * dim, 0);
   cpu::ThreadPool pool(2);
   const cpu::TiledRegion region{dim, 0, 2 * dim - 1, static_cast<std::size_t>(state.range(0))};
+  const core::LoweredKernel kernel = path_kernel(dim);
   for (auto _ : state) {
-    cpu::run_tiled_wavefront(region, pool, [&](std::size_t i, std::size_t j) {
-      const std::uint32_t w = j > 0 ? v[i * dim + j - 1] : 0;
-      const std::uint32_t n = i > 0 ? v[(i - 1) * dim + j] : 0;
-      v[i * dim + j] = (i == 0 && j == 0) ? 1 : w + n;
-    });
+    cpu::run_wavefront(cpu::Scheduler::kBarrier, region, pool, kernel,
+                       reinterpret_cast<std::byte*>(v.data()));
     benchmark::DoNotOptimize(v.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -202,15 +217,9 @@ void BM_WavefrontScheduler(benchmark::State& state) {
   const cpu::TiledRegion region{dim, 0, 2 * dim - 1, static_cast<std::size_t>(state.range(1))};
   std::vector<std::uint32_t> v(dim * dim, 0);
   cpu::ThreadPool pool(4);
-  const cpu::RowSegmentFn seg = [&](std::size_t i, std::size_t j0, std::size_t j1) {
-    for (std::size_t j = j0; j < j1; ++j) {
-      const std::uint32_t w = j > 0 ? v[i * dim + j - 1] : 0;
-      const std::uint32_t n = i > 0 ? v[(i - 1) * dim + j] : 0;
-      v[i * dim + j] = (i == 0 && j == 0) ? 1 : w + n;
-    }
-  };
+  const core::LoweredKernel kernel = path_kernel(dim);
   for (auto _ : state) {
-    cpu::run_wavefront(sched, region, pool, seg);
+    cpu::run_wavefront(sched, region, pool, kernel, reinterpret_cast<std::byte*>(v.data()));
     benchmark::DoNotOptimize(v.data());
   }
   state.SetLabel(cpu::scheduler_name(sched));
@@ -271,38 +280,18 @@ core::WavefrontSpec micro_spec(const std::string& app, std::size_t dim) {
   return apps::make_seqcmp_spec(p);
 }
 
-/// Wall-clock of one full CPU sweep under the given scheduler,
-/// dispatching through a per-cell (seed path) or row-segment (batched
-/// path) callback.
-template <typename Dispatch>
-double time_sweep_ns(cpu::Scheduler sched, std::size_t dim, cpu::ThreadPool& pool,
-                     std::size_t tile, const Dispatch& dispatch) {
-  const cpu::TiledRegion region{dim, 0, core::num_diagonals(dim), tile};
-  const auto t0 = std::chrono::steady_clock::now();
-  if constexpr (std::is_convertible_v<Dispatch, cpu::RowSegmentFn>) {
-    cpu::run_wavefront(sched, region, pool, dispatch);
-  } else {
-    if (sched == cpu::Scheduler::kDataflow) {
-      cpu::run_dataflow_wavefront(region, pool, dispatch);
-    } else {
-      cpu::run_tiled_wavefront(region, pool, dispatch);
-    }
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count();
-}
-
 struct MicroResult {
-  // ABI axis (single-worker pool: dispatch + compute, no pool noise):
-  double per_cell_ns = 0.0;  ///< ns/cell, per-cell dispatch
-  double segment_ns = 0.0;   ///< ns/cell, per-row-segment dispatch
-  double tile_ns = 0.0;      ///< ns/cell, one-call-per-tile lowered dispatch
+  // ABI axis (single-worker pool: dispatch + compute, no pool noise), each
+  // rung lowered by spec.lower() and swept by the barrier scheduler:
+  double per_cell_ns = 0.0;  ///< ns/cell, cell kernel (two fallback adapters)
+  double segment_ns = 0.0;   ///< ns/cell, segment kernel (tile fallback adapter)
+  double tile_ns = 0.0;      ///< ns/cell, native tile kernel
   double lower_ns = 0.0;     ///< one-time plan lowering (spec.lower()), ns
   double dispatch_ns = 0.0;  ///< ns/cell, traversal+dispatch machinery only
                              ///< (no-op lowered kernel sweep)
   // Scheduler axis (>= 4-worker pool: contention is the signal):
-  double barrier_ns = 0.0;   ///< ns/cell, segment dispatch, barrier sched
-  double dataflow_ns = 0.0;  ///< ns/cell, segment dispatch, dataflow sched
+  double barrier_ns = 0.0;   ///< ns/cell, tile rung, barrier sched
+  double dataflow_ns = 0.0;  ///< ns/cell, tile rung, dataflow sched
   bool native_tile = false;  ///< lowering hit the spec's native TileKernel
 };
 
@@ -382,8 +371,8 @@ util::Json run_phase_plan(api::Engine& engine, const std::string& app, std::size
 }
 
 /// Wall-clock of one full CPU sweep through the lowered (tile-granular)
-/// dispatch path — exactly what the executor's CPU phases now run.
-double time_lowered_sweep_ns(cpu::Scheduler sched, std::size_t dim, cpu::ThreadPool& pool,
+/// dispatch path — exactly what the executor's CPU phases run.
+double time_sweep_ns(cpu::Scheduler sched, std::size_t dim, cpu::ThreadPool& pool,
                              std::size_t tile, const core::LoweredKernel& kernel,
                              std::byte* data) {
   const cpu::TiledRegion region{dim, 0, core::num_diagonals(dim), tile};
@@ -409,40 +398,15 @@ MicroResult run_micro(const std::string& app, std::size_t dim, std::size_t tile,
   const core::WavefrontSpec spec = micro_spec(app, dim);
   core::Grid grid(spec.dim, spec.elem_bytes);
   std::byte* data = grid.data();
-  const std::size_t elem = spec.elem_bytes;
 
   const bool abi_cell = abi_axis == AbiAxis::kCell || abi_axis == AbiAxis::kAll;
   const bool abi_segment = abi_axis == AbiAxis::kSegment || abi_axis == AbiAxis::kAll;
   const bool abi_tile = abi_axis == AbiAxis::kTile || abi_axis == AbiAxis::kAll;
-  const bool sched_barrier = abi_segment && sched_axis != SchedAxis::kDataflow;
-  const bool dataflow = sched_axis != SchedAxis::kBarrier && abi_segment;
+  const bool sched_barrier = sched_axis != SchedAxis::kDataflow;
+  const bool sched_dataflow = sched_axis != SchedAxis::kBarrier;
 
-  // Seed path (cell ABI): the pre-batching executor's host_cell verbatim —
-  // one type-erased kernel call plus up to four bounds-checked Grid::cell
-  // marshalling calls per cell.
-  const core::ByteKernel& kernel = spec.kernel;
-  cpu::CellFn per_cell = [&](std::size_t i, std::size_t j) {
-    const std::byte* w = j > 0 ? grid.cell(i, j - 1) : nullptr;
-    const std::byte* n = i > 0 ? grid.cell(i - 1, j) : nullptr;
-    const std::byte* nw = (i > 0 && j > 0) ? grid.cell(i - 1, j - 1) : nullptr;
-    kernel(i, j, w, n, nw, grid.cell(i, j));
-  };
-  // Segment ABI: the pre-lowering executor's host path verbatim — the
-  // RowSegmentFn hop into FunctionalCtx::compute_row_segment (per-row
-  // neighbour offsets recomputed from (i, j) coordinates) and the
-  // type-erased SegmentKernel call per clamped row-span.
-  const core::SegmentKernel seg = spec.segment_or_fallback();
-  const std::size_t dim_ = spec.dim;
-  cpu::RowSegmentFn segment = [&, data, elem, dim_](std::size_t i, std::size_t j0,
-                                                    std::size_t j1) {
-    const auto off = [&](std::size_t ii, std::size_t jj) { return (ii * dim_ + jj) * elem; };
-    const std::byte* w = j0 > 0 ? data + off(i, j0 - 1) : nullptr;
-    const std::byte* n = i > 0 ? data + off(i - 1, j0) : nullptr;
-    const std::byte* nw = (i > 0 && j0 > 0) ? data + off(i - 1, j0 - 1) : nullptr;
-    seg(i, j0, j1, w, n, nw, data + off(i, j0));
-  };
-  // Tile ABI: plan-time lowering resolved ONCE, one indirect call per
-  // tile (exactly what HybridExecutor + Engine plans now dispatch).
+  // Tile rung: plan-time lowering resolved ONCE, one indirect call per
+  // tile (exactly what HybridExecutor + Engine plans dispatch).
   MicroResult r;
   const auto l0 = std::chrono::steady_clock::now();
   const core::LoweredKernel lowered = spec.lower();
@@ -452,57 +416,49 @@ MicroResult run_micro(const std::string& app, std::size_t dim, std::size_t tile,
   core::LoweredKernel noop = lowered;
   noop.fn = &noop_tile_kernel;
   noop.ctx = nullptr;
+  // Cell and segment rungs: the same spec with the wider rungs removed,
+  // so lower() adapts the narrower kernel — the only way such kernels
+  // reach the schedulers.
+  core::WavefrontSpec segment_spec = spec;
+  segment_spec.tile = {};
+  segment_spec.segment = spec.segment_or_fallback();
+  core::WavefrontSpec cell_spec = segment_spec;
+  cell_spec.segment = nullptr;
+  const core::LoweredKernel segment = segment_spec.lower();
+  const core::LoweredKernel cell = cell_spec.lower();
 
-  const double cells = static_cast<double>(dim) * static_cast<double>(dim);
-  double best_cell = 1e300;
-  double best_seg = 1e300;
-  double best_bar = 1e300;
-  double best_flow = 1e300;
-  double best_tile = 1e300;
-  double best_dispatch = 1e300;
+  struct Sweep {
+    bool on;
+    cpu::Scheduler sched;
+    cpu::ThreadPool* pool;
+    const core::LoweredKernel* kernel;
+    double* out;
+  };
+  const Sweep sweeps[] = {
+      {abi_cell, cpu::Scheduler::kBarrier, &abi_pool, &cell, &r.per_cell_ns},
+      {abi_segment, cpu::Scheduler::kBarrier, &abi_pool, &segment, &r.segment_ns},
+      {abi_tile, cpu::Scheduler::kBarrier, &abi_pool, &lowered, &r.tile_ns},
+      {abi_tile, cpu::Scheduler::kBarrier, &abi_pool, &noop, &r.dispatch_ns},
+      {sched_barrier, cpu::Scheduler::kBarrier, &sched_pool, &lowered, &r.barrier_ns},
+      {sched_dataflow, cpu::Scheduler::kDataflow, &sched_pool, &lowered, &r.dataflow_ns},
+  };
   // One warmup each, then best-of-reps to shed noise.
-  if (abi_cell) time_sweep_ns(cpu::Scheduler::kBarrier, dim, abi_pool, tile, per_cell);
-  if (abi_segment) time_sweep_ns(cpu::Scheduler::kBarrier, dim, abi_pool, tile, segment);
-  if (abi_tile) {
-    time_lowered_sweep_ns(cpu::Scheduler::kBarrier, dim, abi_pool, tile, lowered, data);
-    time_lowered_sweep_ns(cpu::Scheduler::kBarrier, dim, abi_pool, tile, noop, data);
+  for (const Sweep& w : sweeps) {
+    if (!w.on) continue;
+    time_sweep_ns(w.sched, dim, *w.pool, tile, *w.kernel, data);
+    *w.out = 1e300;
   }
-  if (sched_barrier) time_sweep_ns(cpu::Scheduler::kBarrier, dim, sched_pool, tile, segment);
-  if (dataflow) time_sweep_ns(cpu::Scheduler::kDataflow, dim, sched_pool, tile, segment);
   for (int rep = 0; rep < reps; ++rep) {
-    if (abi_cell) {
-      best_cell = std::min(best_cell,
-                           time_sweep_ns(cpu::Scheduler::kBarrier, dim, abi_pool, tile, per_cell));
-    }
-    if (abi_segment) {
-      best_seg = std::min(best_seg,
-                          time_sweep_ns(cpu::Scheduler::kBarrier, dim, abi_pool, tile, segment));
-    }
-    if (abi_tile) {
-      best_tile = std::min(best_tile, time_lowered_sweep_ns(cpu::Scheduler::kBarrier, dim,
-                                                            abi_pool, tile, lowered, data));
-      best_dispatch = std::min(best_dispatch, time_lowered_sweep_ns(cpu::Scheduler::kBarrier, dim,
-                                                                    abi_pool, tile, noop, data));
-    }
-    if (sched_barrier) {
-      best_bar = std::min(best_bar,
-                          time_sweep_ns(cpu::Scheduler::kBarrier, dim, sched_pool, tile, segment));
-    }
-    if (dataflow) {
-      best_flow = std::min(
-          best_flow, time_sweep_ns(cpu::Scheduler::kDataflow, dim, sched_pool, tile, segment));
+    for (const Sweep& w : sweeps) {
+      if (w.on) *w.out = std::min(*w.out, time_sweep_ns(w.sched, dim, *w.pool, tile, *w.kernel, data));
     }
   }
-  r.per_cell_ns = best_cell / cells;
-  r.segment_ns = best_seg / cells;
-  r.barrier_ns = best_bar / cells;
-  r.dataflow_ns = best_flow / cells;
-  r.tile_ns = best_tile / cells;
-  r.dispatch_ns = best_dispatch / cells;
+  const double cells = static_cast<double>(dim) * static_cast<double>(dim);
+  for (const Sweep& w : sweeps) *w.out /= cells;
   return r;
 }
 
-int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_explicit,
+int run_json_mode(const std::string& path, SchedAxis sched_axis,
                   AbiAxis abi_axis, PlanAxis plan_axis, bool quick) {
   if (path.empty()) {
     std::cerr << "bench_micro: --json needs a non-empty path (or omit '=' for the default)\n";
@@ -511,24 +467,15 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
   const bool abi_cell = abi_axis == AbiAxis::kCell || abi_axis == AbiAxis::kAll;
   const bool abi_segment = abi_axis == AbiAxis::kSegment || abi_axis == AbiAxis::kAll;
   const bool abi_tile = abi_axis == AbiAxis::kTile || abi_axis == AbiAxis::kAll;
-  // The scheduler sweeps ride on the segment dispatch path; an explicit
-  // --scheduler combined with a --kernel-abi that excludes the segment
-  // rung would silently measure nothing, so refuse the combination.
-  if (!abi_segment && sched_explicit) {
-    std::cerr << "bench_micro: --scheduler needs the segment rung; use "
-                 "--kernel-abi=segment or --kernel-abi=all alongside it\n";
-    return 1;
-  }
   // Two pools, one per axis: the scheduler comparison needs real
   // contention — at least 4 workers (more when the host has them), per
   // the perf-trajectory contract — while the kernel-ABI comparison wants
   // NO contention (a single worker makes parallel_for run inline), so
-  // pool-scheduling noise can't mask the dispatch delta. The contended
-  // pool only spins up when a scheduler sweep will actually use it.
+  // pool-scheduling noise can't mask the dispatch delta.
   std::size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
   cpu::ThreadPool abi_pool(1);
-  cpu::ThreadPool sched_pool(abi_segment ? std::max<std::size_t>(4, hw) : 1);
+  cpu::ThreadPool sched_pool(std::max<std::size_t>(4, hw));
   const std::vector<std::size_t> dims =
       quick ? std::vector<std::size_t>{512} : std::vector<std::size_t>{512, 2048};
   // Best-of-N: single-run ratios are unstable on loaded hosts.
@@ -573,11 +520,11 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
         } else {
           std::cout << " ns/cell";
         }
-        if (abi_segment && sched_axis != SchedAxis::kDataflow) {
+        if (sched_axis != SchedAxis::kDataflow) {
           row["barrier_ns_per_cell"] = util::Json(r.barrier_ns);
           std::cout << ", sched barrier " << r.barrier_ns;
         }
-        if (abi_segment && sched_axis != SchedAxis::kBarrier) {
+        if (sched_axis != SchedAxis::kBarrier) {
           row["dataflow_ns_per_cell"] = util::Json(r.dataflow_ns);
           std::cout << " dataflow " << r.dataflow_ns << " ns/cell";
           if (sched_axis == SchedAxis::kBoth) {
@@ -591,22 +538,19 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis, bool sched_expl
     }
   }
   util::Json doc = util::Json::object();
-  doc["schema"] = util::Json("wavetune.bench_micro.v3");
+  // v4: every rung is lowered by spec.lower(), and the scheduler axis
+  // sweeps the tile rung.
+  doc["schema"] = util::Json("wavetune.bench_micro.v4");
   doc["mode"] = util::Json("tiled_cpu");
-  // The scheduler sweeps ride on the segment dispatch path; without the
-  // segment rung in the ABI axis none ran, and the header must say so
-  // rather than claim an axis the file has no data for.
-  doc["scheduler_axis"] =
-      util::Json(!abi_segment                        ? "none"
-                 : sched_axis == SchedAxis::kBoth    ? "both"
-                 : sched_axis == SchedAxis::kBarrier ? "barrier"
-                                                     : "dataflow");
+  doc["scheduler_axis"] = util::Json(sched_axis == SchedAxis::kBoth      ? "both"
+                                     : sched_axis == SchedAxis::kBarrier ? "barrier"
+                                                                         : "dataflow");
   doc["kernel_abi_axis"] = util::Json(abi_axis == AbiAxis::kAll       ? "all"
                                       : abi_axis == AbiAxis::kCell    ? "cell"
                                       : abi_axis == AbiAxis::kSegment ? "segment"
                                                                       : "tile");
   doc["quick"] = util::Json(quick);
-  if (abi_segment) doc["workers"] = util::Json(sched_pool.worker_count());
+  doc["workers"] = util::Json(sched_pool.worker_count());
   doc["abi_workers"] = util::Json(abi_pool.worker_count());
   doc["runs"] = std::move(runs);
 
@@ -656,7 +600,6 @@ int main(int argc, char** argv) {
   bool json_mode = false;
   bool quick = false;
   SchedAxis sched_axis = SchedAxis::kBoth;
-  bool sched_explicit = false;
   AbiAxis abi_axis = AbiAxis::kAll;
   PlanAxis plan_axis = PlanAxis::kNone;
   const auto parse_plan = [&](const std::string& v) -> bool {
@@ -707,7 +650,6 @@ int main(int argc, char** argv) {
       std::cerr << "bench_micro: use --scheduler=barrier|dataflow|both (with '=')\n";
       return 1;
     } else if (arg.rfind("--scheduler=", 0) == 0) {
-      sched_explicit = true;
       const std::string v = arg.substr(12);
       if (v == "barrier") {
         sched_axis = SchedAxis::kBarrier;
@@ -773,7 +715,7 @@ int main(int argc, char** argv) {
                    " --phase-plan[=]paper|cpu-only|split-band|all)\n";
       return 1;
     }
-    return run_json_mode(json_path, sched_axis, sched_explicit, abi_axis, plan_axis, quick);
+    return run_json_mode(json_path, sched_axis, abi_axis, plan_axis, quick);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

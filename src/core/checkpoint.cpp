@@ -25,8 +25,10 @@ struct Cursor {
   std::span<const std::byte> bytes;
   std::size_t pos = 0;
 
+  // `n` comes from the payload and may be near 2^64: compare against the
+  // remainder, since pos + n could wrap.
   void need(std::size_t n) const {
-    if (pos + n > bytes.size()) throw CheckpointError("checkpoint: truncated payload");
+    if (n > bytes.size() - pos) throw CheckpointError("checkpoint: truncated payload");
   }
   std::uint32_t u32() {
     need(4);
@@ -81,7 +83,11 @@ RunCheckpoint RunCheckpoint::deserialize(std::span<const std::byte> bytes) {
   cp.grid.assign(c.bytes.begin() + static_cast<std::ptrdiff_t>(c.pos),
                  c.bytes.begin() + static_cast<std::ptrdiff_t>(c.pos + grid_len));
   c.pos += grid_len;
-  if (cp.grid.size() != cp.dim * cp.dim * cp.elem_bytes) {
+  // dim * dim * elem_bytes may overflow for hostile fields; a wrapped
+  // product must not let a small grid pass for a huge geometry.
+  std::size_t want = 0;
+  if (__builtin_mul_overflow(cp.dim, cp.dim, &want) ||
+      __builtin_mul_overflow(want, cp.elem_bytes, &want) || cp.grid.size() != want) {
     throw CheckpointError("checkpoint: grid size does not match dim/elem_bytes");
   }
   return cp;

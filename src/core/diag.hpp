@@ -57,12 +57,28 @@ constexpr std::pair<std::size_t, std::size_t> row_band_span(std::size_t i, std::
   return {std::max(col_lo, band_lo), std::min(col_hi, d_end - i)};
 }
 
+/// Cells (i, j) with row i in [row_begin, row_end) and i + j in
+/// [d_begin, d_end), in O(1): strip geometry and region sizes count a
+/// band's rectangle without walking its rows or diagonals.
+constexpr std::size_t cells_in_rows(std::size_t dim, std::size_t d_begin, std::size_t d_end,
+                                    std::size_t row_begin, std::size_t row_end) {
+  // Cells with i < r and i + j < t: each row i < min(r, t, dim) holds
+  // min(dim, t - i) of them, i.e. dim for i <= t - dim, t - i after.
+  auto below = [dim](std::size_t r, std::size_t t) {
+    const std::size_t m = std::min({r, t, dim});
+    const std::size_t full = t >= dim ? std::min(t - dim + 1, m) : 0;
+    const std::size_t n = m - full;
+    return full * dim + n * t - n * (full + m - 1) / 2;
+  };
+  if (d_begin >= d_end || row_begin >= row_end) return 0;
+  return (below(row_end, d_end) - below(row_end, d_begin)) -
+         (below(row_begin, d_end) - below(row_begin, d_begin));
+}
+
 /// Total cells over diagonals [d_begin, d_end).
 constexpr std::size_t cells_in_diag_range(std::size_t dim, std::size_t d_begin,
                                           std::size_t d_end) {
-  std::size_t n = 0;
-  for (std::size_t d = d_begin; d < d_end; ++d) n += diag_len(dim, d);
-  return n;
+  return cells_in_rows(dim, d_begin, d_end, 0, dim);
 }
 
 }  // namespace wavetune::core

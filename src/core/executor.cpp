@@ -31,6 +31,13 @@ constexpr std::size_t kGpuHostTileMin = 16;
 
 std::size_t gpu_host_tile(const PhaseDesc& ph) { return std::max(ph.gpu_tile, kGpuHostTileMin); }
 
+/// Device buffers a single-GPU phase streams its strips through: the
+/// strip pool, never more buffers than strips. A whole-grid phase is one
+/// strip, so one buffer.
+std::size_t strip_pool_size(const PhaseDesc& ph, std::size_t dim) {
+  return ph.streamed() ? std::min(ph.strip_buffers, ph.strip_count(dim)) : 1;
+}
+
 /// A multi-GPU flush with fewer queued cells than this runs on the calling
 /// thread: waking a pool worker costs more than the work (a halo-0 split
 /// flushes once per diagonal).
@@ -158,7 +165,8 @@ struct HybridExecutor::FunctionalCtx {
   /// Cancellation/deadline poll (core/run_control.hpp); null on the
   /// control-free fast path.
   const RunControl* control = nullptr;
-  /// One full-grid-shaped buffer per GPU, or a streamed phase's strip pool.
+  /// One full-grid-shaped buffer per GPU of a multi-GPU phase, or a
+  /// single-GPU phase's strip pool.
   std::vector<ocl::Buffer> dev;
 
   // Streaming checkpoint/resume plumbing.
@@ -388,8 +396,10 @@ RunResult HybridExecutor::execute(const InputParams& in, const PhaseProgram& pro
     // their results. The simulated schedule is walked IN FULL either way,
     // keeping the RunResult a pure function of (inputs, program).
     const bool phase_skipped = fctx && fctx->resuming && p < fctx->resume_phase;
+    // Only a streamed phase has strip boundaries to resume from.
     const std::size_t resume_strip =
-        (fctx && fctx->resuming && p == fctx->resume_phase) ? fctx->resume_strip : 0;
+        (fctx && fctx->resuming && p == fctx->resume_phase && ph.streamed()) ? fctx->resume_strip
+                                                                             : 0;
     FunctionalCtx* f = phase_skipped ? nullptr : fctx;
     PhaseTiming t;
     t.device = ph.device;
@@ -402,32 +412,29 @@ RunResult HybridExecutor::execute(const InputParams& in, const PhaseProgram& pro
     // SIMULATED fields is untouched.
     const WallClock::time_point wall0 = fctx ? WallClock::now() : WallClock::time_point{};
     if (ph.is_cpu()) {
-      if (!ph.streamed()) {
-        cpu::TiledRegion region{in.dim, ph.d_begin, ph.d_end, ph.cpu_tile};
-        t.ns = cpu::wavefront_cost_ns(ph.scheduler, region, profile_.cpu, in.tsize,
-                                      in.elem_bytes());
-        if (f) cpu::run_wavefront(ph.scheduler, region, *f->pool, *f->lowered, f->host->data());
-      } else {
-        // Streamed CPU phase: the strips run back to back on the host
-        // grid (dependency-safe: a strip's last row is the next strip's
-        // north frontier, already final when the next strip starts). No
-        // overlap to buy on the host — the win is the checkpoint points
-        // and the uniform strip axis — so serialized_ns == ns.
-        const std::size_t strips = ph.strip_count(in.dim);
-        for (std::size_t s = 0; s < strips; ++s) {
-          const std::size_t r0 = s * ph.strip_rows;
-          const std::size_t r1 = std::min(in.dim, r0 + ph.strip_rows);
-          cpu::TiledRegion region{in.dim, ph.d_begin, ph.d_end, ph.cpu_tile, r0, r1};
-          if (region.cell_count() == 0) continue;
-          ++t.strips;
-          t.ns += cpu::wavefront_cost_ns(ph.scheduler, region, profile_.cpu, in.tsize,
-                                         in.elem_bytes());
-          if (f && s >= resume_strip) {
-            cpu::run_wavefront(ph.scheduler, region, *f->pool, *f->lowered, f->host->data());
-            f->maybe_checkpoint(p, s + 1);
-          }
+      // The strips run back to back on the host grid (dependency-safe: a
+      // strip's last row is the next strip's north frontier, already final
+      // when the next strip starts); a whole-grid phase is one strip of
+      // dim rows. No overlap to buy on the host — the win is the
+      // checkpoint points — so a streamed phase reports serialized_ns == ns.
+      const std::size_t rows = ph.strip_height(in.dim);
+      for (std::size_t s = 0; s < ph.strip_count(in.dim); ++s) {
+        const std::size_t r0 = s * rows;
+        const std::size_t r1 = std::min(in.dim, r0 + rows);
+        cpu::TiledRegion region{in.dim, ph.d_begin, ph.d_end, ph.cpu_tile, r0, r1};
+        if (region.cell_count() == 0) continue;
+        ++t.strips;
+        t.ns += cpu::wavefront_cost_ns(ph.scheduler, region, profile_.cpu, in.tsize,
+                                       in.elem_bytes());
+        if (f && s >= resume_strip) {
+          cpu::run_wavefront(ph.scheduler, region, *f->pool, *f->lowered, f->host->data());
+          if (ph.streamed()) f->maybe_checkpoint(p, s + 1);
         }
+      }
+      if (ph.streamed()) {
         t.serialized_ns = t.ns;
+      } else {
+        t.strips = 0;  // whole-grid phases report no strips
       }
     } else {
       gpu_phase(in, ph, f, resume_strip, p, trace, t);
@@ -446,125 +453,50 @@ void HybridExecutor::gpu_phase(const InputParams& in, const PhaseDesc& ph,
                                std::size_t phase_index, ocl::Trace* trace,
                                PhaseTiming& out) const {
   if (fctx) {
-    // Device storage: one full-grid-shaped buffer per device, or — for a
-    // streamed phase — the fixed strip pool of strip_buffers buffers of
-    // (strip_rows + 1) rows each, which is the whole point: peak residency
-    // O(strip_rows * dim), not O(dim^2). Either way the buffers are
-    // poison-filled so reads of cells the schedule never staged produce
-    // loudly-wrong values.
-    const std::size_t bytes =
-        ph.streamed() ? (ph.strip_rows + 1) * in.dim * fctx->spec->elem_bytes
-                      : in.dim * in.dim * fctx->spec->elem_bytes;
+    // The one device-buffer allocation site. The multi-GPU wedge holds one
+    // full-grid-shaped buffer per device. A single-GPU phase holds its
+    // strip pool: min(strip_buffers, strips) buffers of one strip plus its
+    // halo row, so peak residency is O(strip_rows * dim), not O(dim^2); a
+    // whole-grid phase is one strip of dim rows, i.e. one dim x dim
+    // buffer. Buffers are poison-filled so reads of cells the schedule
+    // never staged produce loudly-wrong values.
+    const std::size_t row_bytes = in.dim * fctx->spec->elem_bytes;
+    const bool multi = ph.gpu_count >= 2;
+    const std::size_t rows = multi ? in.dim : std::min(ph.strip_height(in.dim) + 1, in.dim);
     const std::size_t count =
-        ph.streamed() ? ph.strip_buffers : static_cast<std::size_t>(ph.gpu_count);
+        multi ? static_cast<std::size_t>(ph.gpu_count) : strip_pool_size(ph, in.dim);
     fctx->dev.clear();
     for (std::size_t g = 0; g < count; ++g) {
-      fctx->dev.emplace_back(bytes);
+      fctx->dev.emplace_back(rows * row_bytes);
       fctx->dev.back().fill(Grid::kPoison);
     }
   }
   if (ph.gpu_count >= 2) {
     gpu_phase_multi(in, ph, fctx, trace, out);
-  } else if (ph.streamed()) {
-    gpu_phase_single_streamed(in, ph, fctx, resume_strip, phase_index, trace, out);
   } else {
-    gpu_phase_single(in, ph, fctx, trace, out);
+    gpu_phase_strips(in, ph, fctx, resume_strip, phase_index, trace, out);
   }
 }
 
-void HybridExecutor::gpu_phase_single(const InputParams& in, const PhaseDesc& ph,
-                                      FunctionalCtx* fctx, ocl::Trace* trace,
+void HybridExecutor::gpu_phase_strips(const InputParams& in, const PhaseDesc& ph,
+                                      FunctionalCtx* fctx, std::size_t resume_strip,
+                                      std::size_t phase_index, ocl::Trace* trace,
                                       PhaseTiming& out) const {
   const std::size_t dim = in.dim;
   const std::size_t esize = in.elem_bytes();
   const std::size_t d0 = ph.d_begin;
   const std::size_t d1 = ph.d_end;
   const std::size_t frontier_lo = d0 >= 2 ? d0 - 2 : 0;
-
-  ocl::Context ctx(profile_);
-  if (trace) ctx.attach_trace(trace);
-  ocl::Device& dev = ctx.device(0);
-
-  // Bulk transfer in: band-region input data plus the two frontier
-  // diagonals the first band diagonals depend on ("data is transferred
-  // from/to CPU only twice" — paper §2.1).
-  const std::size_t cells_region = cells_in_diag_range(dim, d0, d1);
-  const std::size_t cells_front = cells_in_diag_range(dim, frontier_lo, d0);
-  const std::size_t bytes_in = (cells_region + cells_front) * esize;
-  dev.charge_write(bytes_in);
-  out.transfer_in_ns = ctx.pcie_model().transfer_ns(bytes_in);
-  if (fctx) {
-    fault::check(fault::Site::kGpuTransfer);
-    fctx->copy_diag_rows(fctx->host->data(), fctx->dev[0].data(), frontier_lo, d1, 0, dim);
-  }
-
-  // Launch charges only: the functional work is one sweep below.
-  if (ph.gpu_tile <= 1) {
-    // Untiled: one kernel per diagonal (paper Fig. 2).
-    for (std::size_t d = d0; d < d1; ++d) {
-      const std::size_t len = diag_len(dim, d);
-      if (len == 0) continue;
-      ocl::LaunchShape shape;
-      shape.items = len;
-      shape.tsize_units = in.tsize;
-      shape.bytes_per_item = esize;
-      dev.charge_kernel(shape);
-      ++out.kernel_launches;
-    }
-  } else {
-    // Tiled: one kernel per tile-diagonal; work-groups are g x g tiles
-    // whose work-items run an intra-tile wavefront with barriers.
-    const std::size_t g = ph.gpu_tile;
-    const std::size_t Mg = (dim + g - 1) / g;
-    for (std::size_t k = 0; k < 2 * Mg - 1; ++k) {
-      const std::size_t span_lo = k * g;
-      const std::size_t span_hi = (k + 2) * g - 2;  // inclusive
-      if (span_lo >= d1 || span_hi < d0) continue;
-      ocl::LaunchShape shape;
-      shape.groups = std::min({k + 1, Mg, 2 * Mg - 1 - k});
-      shape.serial_steps = 2 * g - 1;
-      shape.syncs = 2 * g - 1;
-      shape.tsize_units = in.tsize;
-      shape.bytes_per_item = esize;
-      shape.items = shape.groups * g * g;
-      dev.charge_kernel(shape);
-      ++out.kernel_launches;
-    }
-  }
-  // The band's cells on the device buffer, as one dependency-respecting
-  // sweep on the pool: any such order yields the same cells as the
-  // launch-by-launch schedule charged above.
-  if (fctx) {
-    cpu::run_dataflow_wavefront(cpu::TiledRegion{dim, d0, d1, gpu_host_tile(ph)}, *fctx->pool,
-                                *fctx->lowered, fctx->dev[0].data());
-  }
-
-  // Bulk transfer out: the computed band region back to the host.
-  const std::size_t bytes_out = cells_region * esize;
-  dev.charge_read(bytes_out);
-  out.transfer_out_ns = ctx.pcie_model().transfer_ns(bytes_out);
-  if (fctx) {
-    fault::check(fault::Site::kGpuTransfer);
-    fctx->copy_diag_rows(fctx->dev[0].data(), fctx->host->data(), d0, d1, 0, dim);
-  }
-
-  out.ns = ctx.finish_time();
-}
-
-void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const PhaseDesc& ph,
-                                               FunctionalCtx* fctx,
-                                               std::size_t resume_strip,
-                                               std::size_t phase_index, ocl::Trace* trace,
-                                               PhaseTiming& out) const {
-  const std::size_t dim = in.dim;
-  const std::size_t esize = in.elem_bytes();
-  const std::size_t d0 = ph.d_begin;
-  const std::size_t d1 = ph.d_end;
-  const std::size_t frontier_lo = d0 >= 2 ? d0 - 2 : 0;
+  const std::size_t rows = ph.strip_height(dim);
   const std::size_t strips = ph.strip_count(dim);
+  // A whole-grid phase is one strip that keeps the whole-grid contract:
+  // its two bulk transfers visit the kGpuTransfer fault site, and it has
+  // no strip boundary to checkpoint.
+  const fault::Site transfer_site =
+      ph.streamed() ? fault::Site::kStripTransfer : fault::Site::kGpuTransfer;
 
-  // Per-strip geometry, computed once and walked twice (real pool, then
-  // the 1-buffer serialized baseline).
+  // Per-strip geometry, computed once and walked once or twice (real
+  // pool, then the 1-buffer serialized baseline).
   struct StripInfo {
     std::size_t r0 = 0, r1 = 0;  ///< row window [r0, r1)
     std::size_t up_cells = 0;    ///< frontier + band cells staged in
@@ -577,15 +509,10 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
   std::size_t s_last = 0;
   for (std::size_t s = 0; s < strips; ++s) {
     StripInfo& si = info[s];
-    si.r0 = s * ph.strip_rows;
-    si.r1 = std::min(dim, si.r0 + ph.strip_rows);
-    for (std::size_t i = si.r0; i < si.r1; ++i) {
-      if (d1 <= i) break;
-      const auto [ulo, uhi] = cpu::row_band_span(i, frontier_lo, d1, 0, dim);
-      if (ulo < uhi) si.up_cells += uhi - ulo;
-      const auto [blo, bhi] = cpu::row_band_span(i, d0, d1, 0, dim);
-      if (blo < bhi) si.down_cells += bhi - blo;
-    }
+    si.r0 = s * rows;
+    si.r1 = std::min(dim, si.r0 + rows);
+    si.up_cells = cells_in_rows(dim, frontier_lo, d1, si.r0, si.r1);
+    si.down_cells = cells_in_rows(dim, d0, d1, si.r0, si.r1);
     if (si.r0 > 0 && si.r0 <= d1) {
       const auto [hlo, hhi] = cpu::row_band_span(si.r0 - 1, frontier_lo, d1, 0, dim);
       si.halo_j_lo = hlo;
@@ -616,7 +543,10 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
   //        launch waits on W_s, the rest ride the in-order queue.
   //   R_s  async readback of the band cells, after K_s.
   // Enqueue order per iteration: H_s, then W_{s+1} (prefetch; W_s itself
-  // for B == 1 — its deps make prefetching meaningless), K_s, R_s.
+  // for B == 1 — its deps make prefetching meaningless), K_s, R_s. With
+  // one strip this is the paper's whole-band schedule: "data is
+  // transferred from/to CPU only twice" (§2.1), W before and R after the
+  // kernels.
   auto walk = [&](std::size_t B, ocl::Context& ctx, FunctionalCtx* f,
                   PhaseTiming* acc) -> double {
     ocl::Device& dev = ctx.device(0);
@@ -650,7 +580,7 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
       ev_w[s] = dev.charge_async_write(bytes, deps);
       if (acc) acc->transfer_in_ns += ctx.pcie_model().transfer_ns(bytes);
       if (f && s >= resume_strip) {
-        fault::check(fault::Site::kStripTransfer);
+        fault::check(transfer_site);
         const std::size_t base_row = base_row_of(s);
         std::byte* buf = f->dev[buf_of(s)].data();
         f->copy_full_to_local(f->host->data(), buf, base_row, frontier_lo, d1, si.r0, si.r1);
@@ -692,8 +622,8 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
           first_launch = false;
         }
         ev_k[s] = dev.charge_kernel(shape, deps);
-        if (acc) {
-          ++acc->kernel_launches;
+        if (acc) ++acc->kernel_launches;
+        if (acc && ph.streamed()) {
           acc->kernel_busy_ns +=
               shape.groups == 0
                   ? dev.model().kernel_ns(shape.items, shape.tsize_units,
@@ -742,9 +672,9 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
       // K_s's cells: one dataflow sweep over the strip's rows on its
       // buffer, addressed strip-locally (row r0-1 is the buffer's row 0).
       if (f && s >= resume_strip) {
-        cpu::run_dataflow_wavefront(cpu::TiledRegion{dim, d0, d1, gpu_host_tile(ph), si.r0, si.r1},
-                                    *f->pool, *f->lowered, f->dev[buf_of(s)].data(),
-                                    base_row_of(s));
+        cpu::run_wavefront(cpu::Scheduler::kDataflow,
+                           cpu::TiledRegion{dim, d0, d1, gpu_host_tile(ph), si.r0, si.r1},
+                           *f->pool, *f->lowered, f->dev[buf_of(s)].data(), base_row_of(s));
       }
     };
 
@@ -756,10 +686,10 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
       ev_r[s] = dev.charge_async_read(bytes, deps);
       if (acc) acc->transfer_out_ns += ctx.pcie_model().transfer_ns(bytes);
       if (f && s >= resume_strip) {
-        fault::check(fault::Site::kStripTransfer);
+        fault::check(transfer_site);
         f->copy_local_to_full(f->dev[buf_of(s)].data(), base_row_of(s), f->host->data(), d0, d1,
                               si.r0, si.r1);
-        f->maybe_checkpoint(phase_index, s + 1);
+        if (ph.streamed()) f->maybe_checkpoint(phase_index, s + 1);
       }
     };
 
@@ -777,16 +707,19 @@ void HybridExecutor::gpu_phase_single_streamed(const InputParams& in, const Phas
     return ctx.finish_time();
   };
 
+  const std::size_t pool_size = strip_pool_size(ph, dim);
   ocl::Context ctx(profile_);
   if (trace) ctx.attach_trace(trace);
-  out.ns = walk(ph.strip_buffers, ctx, fctx, &out);
-  if (ph.strip_buffers > 1) {
+  out.ns = walk(pool_size, ctx, fctx, &out);
+  if (!ph.streamed()) {
+    out.strips = 0;  // the strip fields describe streaming (kernel_busy_ns too)
+  } else if (pool_size > 1 && out.strips > 1) {
     // Serialized-strip baseline: identical strips, 1-buffer pool, fresh
     // timelines, no functional work, no trace, no fault sites.
     ocl::Context baseline(profile_);
     out.serialized_ns = walk(1, baseline, nullptr, nullptr);
   } else {
-    out.serialized_ns = out.ns;
+    out.serialized_ns = out.ns;  // one buffer or one strip: nothing to overlap
   }
 }
 

@@ -16,6 +16,11 @@
 //   kGpuMulti   N-way fixed row split at rows dim*g/N with chained halo
 //               exchanges through host memory every halo+1 diagonals.
 //
+// CPU and single-GPU phases run as row strips (PhaseDesc::strip_rows); a
+// whole-grid phase is the one-strip case of the same code, so the paper's
+// "transfer only twice" band is the strip schedule with one strip. The
+// multi-GPU wedge is its own walk.
+//
 // run() interprets the program functionally (real values, real threads
 // for the CPU phases) while charging simulated time; estimate() interprets
 // the IDENTICAL program charging time only. Parity is structural: both are
@@ -205,17 +210,16 @@ private:
   void gpu_phase(const InputParams& in, const PhaseDesc& ph, FunctionalCtx* fctx,
                  std::size_t resume_strip, std::size_t phase_index, ocl::Trace* trace,
                  PhaseTiming& out) const;
-  void gpu_phase_single(const InputParams& in, const PhaseDesc& ph, FunctionalCtx* fctx,
-                        ocl::Trace* trace, PhaseTiming& out) const;
-  /// Streamed single-GPU phase: W/H/K/R per strip through the fixed
-  /// buffer pool (async staged uploads overlapping kernels when
-  /// strip_buffers >= 2), plus a second timing-only 1-buffer walk for
-  /// PhaseTiming::serialized_ns. `resume_strip` strips are charged but
-  /// not functionally executed; `phase_index` labels checkpoints.
-  void gpu_phase_single_streamed(const InputParams& in, const PhaseDesc& ph,
-                                 FunctionalCtx* fctx, std::size_t resume_strip,
-                                 std::size_t phase_index, ocl::Trace* trace,
-                                 PhaseTiming& out) const;
+  /// Single-GPU phase as a strip walk: W/H/K/R per strip through the
+  /// buffer pool (async staged uploads overlapping kernels when it holds
+  /// >= 2 buffers), plus, for streamed phases of several strips, a second
+  /// timing-only 1-buffer walk for PhaseTiming::serialized_ns. A
+  /// whole-grid phase is one strip of dim rows. `resume_strip` strips are
+  /// charged but not functionally executed; `phase_index` labels
+  /// checkpoints.
+  void gpu_phase_strips(const InputParams& in, const PhaseDesc& ph, FunctionalCtx* fctx,
+                        std::size_t resume_strip, std::size_t phase_index, ocl::Trace* trace,
+                        PhaseTiming& out) const;
   /// N-way row split (N >= 2) with chained halo exchanges; N == 2 is the
   /// paper's dual-GPU schedule, N >= 3 the §6 future-work extension.
   void gpu_phase_multi(const InputParams& in, const PhaseDesc& ph, FunctionalCtx* fctx,

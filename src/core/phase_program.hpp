@@ -53,20 +53,21 @@ struct PhaseDesc {
   std::size_t gpu_tile = 1;  ///< work-group tile side; 1 = untiled
   long long halo = 0;        ///< multi-GPU redundancy depth (>= 0)
 
-  // Streaming strips (out-of-core execution; 0 = off, whole-grid):
+  // Streaming strips (out-of-core execution; 0 = whole grid = one strip):
   // a phase with strip_rows > 0 executes as a sequence of row strips
   // [s*strip_rows, (s+1)*strip_rows) — exact-once row coverage by
   // construction, the row-axis analogue of the diagonal-band partition.
-  // On kGpuSingle the strips stream through a fixed pool of
-  // `strip_buffers` device buffers of (strip_rows+1) x dim elements
-  // each (one halo row), so peak device residency is O(strip_rows*dim)
-  // instead of O(dim^2); with strip_buffers >= 2 the next strip's
-  // frontier upload overlaps the current strip's kernels on the
-  // simulated DMA engine. strip_buffers == 1 is the serialized-strip
+  // On kGpuSingle the strips stream through a pool of
+  // min(strip_buffers, strips) device buffers of (strip_rows+1) x dim
+  // elements each (one halo row), so peak device residency is
+  // O(strip_rows*dim) instead of O(dim^2); with strip_buffers >= 2 the
+  // next strip's frontier upload overlaps the current strip's kernels on
+  // the simulated DMA engine. strip_buffers == 1 is the serialized-strip
   // baseline. On kCpu the strips run back to back on the host grid
   // (no buffers), which is what makes strip boundaries checkpointable
-  // on every device.
-  std::size_t strip_rows = 0;    ///< rows per strip; 0 = whole-grid
+  // on every device. strip_rows == 0 runs the same code as one strip of
+  // dim rows, but reports no strips and takes no checkpoints.
+  std::size_t strip_rows = 0;    ///< rows per strip; 0 = whole grid = one strip
   std::size_t strip_buffers = 2; ///< strip pool size (1..3); GPU only
 
   bool is_cpu() const { return device == PhaseDevice::kCpu; }
@@ -77,6 +78,8 @@ struct PhaseDesc {
   std::size_t strip_count(std::size_t dim) const {
     return strip_rows == 0 ? 1 : (dim + strip_rows - 1) / strip_rows;
   }
+  /// Rows per strip (dim when not streamed).
+  std::size_t strip_height(std::size_t dim) const { return strip_rows == 0 ? dim : strip_rows; }
 
   /// Throws std::invalid_argument on device-specific nonsense (empty
   /// range, zero tile, kGpuMulti with < 2 devices or negative halo, ...).

@@ -46,14 +46,9 @@ double estimate_streamed_gpu_phase_ns(std::size_t dim, std::size_t elem_bytes,
   for (std::size_t s = 0; s < strips; ++s) {
     const std::size_t r0 = s * strip_rows;
     const std::size_t r1 = std::min(dim, r0 + strip_rows);
-    std::size_t up_cells = 0;    // frontier + band cells staged in
-    std::size_t down_cells = 0;  // band cells read back
-    for (std::size_t i = r0; i < r1; ++i) {
-      const auto [ulo, uhi] = row_band_span(i, frontier_lo, d_end, 0, dim);
-      if (ulo < uhi) up_cells += uhi - ulo;
-      const auto [blo, bhi] = row_band_span(i, d_begin, d_end, 0, dim);
-      if (blo < bhi) down_cells += bhi - blo;
-    }
+    // Frontier + band cells staged in, band cells read back.
+    const std::size_t up_cells = cells_in_rows(dim, frontier_lo, d_end, r0, r1);
+    const std::size_t down_cells = cells_in_rows(dim, d_begin, d_end, r0, r1);
     if (down_cells == 0) continue;  // no band cells in this strip: skipped
     double kernel_ns = 0.0;
     for (std::size_t d = d_begin; d < d_end; ++d) {

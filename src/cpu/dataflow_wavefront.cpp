@@ -17,8 +17,7 @@ namespace {
 
 /// Contiguous range of tile-diagonals k (tile (I,J) is on k = I+J) whose
 /// global-diagonal span [k*T, (k+2)*T - 2] intersects [d_begin, d_end).
-/// Mirrors the inclusion test of run_tiled_wavefront exactly, so both
-/// schedulers visit the same tile set.
+/// Both schedulers and the dataflow cost model walk exactly this range.
 struct TileDiagRange {
   std::size_t k_lo = 1;
   std::size_t k_hi = 0;  // empty when k_lo > k_hi
@@ -40,6 +39,55 @@ TileDiagRange tile_diag_range(const TiledRegion& region, std::size_t M) {
 // cell diagonal of an MxM grid: core::diag_row_lo / core::diag_row_hi are
 // the single definition (used with dim = M).
 
+/// Computes the cells of tile (I,J) clipped to the region's row window:
+/// ONE indirect call, with the band clamp and the row loop (row-major, so
+/// identical results under either scheduler) inside the lowered dispatch.
+void run_tile_cells(const TiledRegion& region, const core::LoweredKernel& kernel,
+                    std::byte* storage, std::size_t base_row, std::size_t I, std::size_t J) {
+  const std::size_t dim = region.dim;
+  const std::size_t T = region.tile;
+  const std::size_t row_lo = std::max(I * T, region.row_begin);
+  const std::size_t row_hi = std::min({I * T + T, dim, region.row_hi()});  // exclusive
+  kernel.tile_local(storage, base_row, row_lo, row_hi, J * T, std::min(J * T + T, dim),
+                    region.d_begin, region.d_end);
+}
+
+/// Per-tile-diagonal state of the barrier sweep, dispatched through
+/// ThreadPool's raw parallel_for so nothing type-erased is invoked per
+/// tile.
+struct BarrierDiag {
+  const TiledRegion* region;
+  const core::LoweredKernel* kernel;
+  std::byte* storage;
+  std::size_t base_row;
+  std::size_t k;  ///< current tile-diagonal (I + J == k)
+};
+
+/// The barrier scheduler: one blocking parallel_for per tile-diagonal —
+/// the block is the barrier between diagonals.
+void run_barrier(const TiledRegion& region, ThreadPool& pool, const core::LoweredKernel& kernel,
+                 std::byte* storage, std::size_t base_row) {
+  const std::size_t T = region.tile;
+  const std::size_t M = (region.dim + T - 1) / T;  // tiles per side
+  const TileDiagRange range = tile_diag_range(region, M);
+  const std::size_t I_lo = region.row_begin / T;
+  const std::size_t I_last = (region.row_hi() - 1) / T;
+  BarrierDiag ctx{&region, &kernel, storage, base_row, 0};
+  for (std::size_t k = range.k_lo; k <= range.k_hi; ++k) {
+    const std::size_t first = std::max(core::diag_row_lo(M, k), I_lo);
+    const std::size_t last = std::min(core::diag_row_hi(M, k), I_last);
+    if (first > last) continue;
+    ctx.k = k;
+    pool.parallel_for(
+        first, last + 1,
+        [](void* pv, std::size_t I) {
+          const BarrierDiag& c = *static_cast<const BarrierDiag*>(pv);
+          run_tile_cells(*c.region, *c.kernel, c.storage, c.base_row, I, c.k - I);
+        },
+        &ctx, tile_grain(last - first + 1, T, pool.worker_count()));
+  }
+}
+
 /// Shared state of one dataflow run. Lives on the caller's stack: the
 /// caller blocks until every tile counted down `remaining`, and the final
 /// decrement publishes completion under `done_mutex`, so the frame
@@ -49,13 +97,11 @@ TileDiagRange tile_diag_range(const TiledRegion& region, std::size_t M) {
 struct DataflowState {
   const TiledRegion* region = nullptr;
   ThreadPool* pool = nullptr;
-  /// Tile dispatch: exactly one of `lowered` (hot path — one indirect
-  /// call per tile over `storage`, full-grid or a row window starting at
-  /// `base_row`) or `segment` (legacy type-erased per-row path) is set.
+  /// Tile dispatch: one indirect call per tile over `storage`, full-grid
+  /// or a row window starting at `base_row`.
   const core::LoweredKernel* lowered = nullptr;
   std::byte* storage = nullptr;
   std::size_t base_row = 0;  ///< first grid row `storage` holds
-  const RowSegmentFn* segment = nullptr;
   std::size_t M = 0;  ///< tiles per side
   TileDiagRange range;
   /// Tile-row window [I_lo, I_hi) of the region's row window: tiles whose
@@ -114,28 +160,9 @@ struct DataflowState {
     return diag_offset[k - range.k_lo] + (I - first_row(k));
   }
 
-  /// Computes the cells of tile (I,J): row-major, each row's column run
-  /// clamped to the diagonal band (and the strip's row window) up front —
-  /// identical traversal to run_tiled_wavefront, hence identical results.
+  /// Computes the cells of tile (I,J).
   void execute(std::size_t I, std::size_t J) const {
-    const std::size_t dim = region->dim;
-    const std::size_t T = region->tile;
-    const std::size_t row_lo = std::max(I * T, region->row_begin);
-    const std::size_t row_hi = std::min({I * T + T, dim, region->row_hi()});  // exclusive
-    const std::size_t col_lo = J * T;
-    const std::size_t col_hi = std::min(col_lo + T, dim);
-    if (lowered) {
-      // One indirect call per tile; clamping and the row loop live inside
-      // the lowered dispatch.
-      lowered->tile_local(storage, base_row, row_lo, row_hi, col_lo, col_hi, region->d_begin,
-                          region->d_end);
-      return;
-    }
-    for (std::size_t i = row_lo; i < row_hi; ++i) {
-      if (region->d_end <= i) break;
-      const auto [j_lo, j_hi] = row_band_span(i, region->d_begin, region->d_end, col_lo, col_hi);
-      if (j_lo < j_hi) (*segment)(i, j_lo, j_hi);
-    }
+    run_tile_cells(*region, *lowered, storage, base_row, I, J);
   }
 
   /// Decrements (I,J)'s counter; true when it just became ready. The
@@ -225,17 +252,18 @@ void run_inline(DataflowState& state) {
   }
 }
 
-/// Shared body of the LoweredKernel and RowSegmentFn entry points: `state`
-/// arrives with its dispatch fields (lowered + storage, or segment) already
-/// set; everything else is initialised here.
-void run_dataflow_impl(const TiledRegion& region, ThreadPool& pool, DataflowState& state) {
-  region.validate();
-  if (region.d_begin == region.d_end) return;
+/// The dataflow scheduler.
+void run_dataflow(const TiledRegion& region, ThreadPool& pool, const core::LoweredKernel& kernel,
+                  std::byte* storage, std::size_t base_row) {
   const std::size_t T = region.tile;
   const std::size_t M = (region.dim + T - 1) / T;
   const TileDiagRange range = tile_diag_range(region, M);
   if (range.k_lo > range.k_hi) return;
 
+  DataflowState state;
+  state.lowered = &kernel;
+  state.storage = storage;
+  state.base_row = base_row;
   state.region = &region;
   state.pool = &pool;
   state.M = M;
@@ -314,30 +342,6 @@ const char* scheduler_name(Scheduler s) {
   return s == Scheduler::kDataflow ? "dataflow" : "barrier";
 }
 
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const core::LoweredKernel& kernel, std::byte* storage,
-                            std::size_t base_row) {
-  if (base_row > 0 && base_row >= region.row_begin) {
-    throw std::invalid_argument("run_dataflow_wavefront: row window starts at or above base_row");
-  }
-  DataflowState state;
-  state.lowered = &kernel;
-  state.storage = storage;
-  state.base_row = base_row;
-  run_dataflow_impl(region, pool, state);
-}
-
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const RowSegmentFn& segment) {
-  DataflowState state;
-  state.segment = &segment;
-  run_dataflow_impl(region, pool, state);
-}
-
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool, const CellFn& cell) {
-  run_dataflow_wavefront(region, pool, per_cell_adapter(cell));
-}
-
 double dataflow_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel& cpu,
                                   double tsize_units, std::size_t elem_bytes) {
   region.validate();
@@ -376,20 +380,16 @@ double dataflow_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel
 }
 
 void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const core::LoweredKernel& kernel, std::byte* storage) {
-  if (s == Scheduler::kDataflow) {
-    run_dataflow_wavefront(region, pool, kernel, storage);
-  } else {
-    run_tiled_wavefront(region, pool, kernel, storage);
+                   const core::LoweredKernel& kernel, std::byte* storage, std::size_t base_row) {
+  if (base_row > 0 && base_row >= region.row_begin) {
+    throw std::invalid_argument("run_wavefront: row window starts at or above base_row");
   }
-}
-
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const RowSegmentFn& segment) {
+  region.validate();
+  if (region.d_begin == region.d_end) return;
   if (s == Scheduler::kDataflow) {
-    run_dataflow_wavefront(region, pool, segment);
+    run_dataflow(region, pool, kernel, storage, base_row);
   } else {
-    run_tiled_wavefront(region, pool, segment);
+    run_barrier(region, pool, kernel, storage, base_row);
   }
 }
 

@@ -1,11 +1,12 @@
-// Dependency-counter (dataflow) tile scheduling for the CPU wavefront.
+// The CPU wavefront schedulers and their one functional entry point,
+// cpu::run_wavefront.
 //
-// run_tiled_wavefront steps the tile grid one anti-diagonal at a time with
-// a full barrier between diagonals: 2M-1 barriers for an MxM tile grid,
-// workers idling at the ragged edges of every diagonal, and a tile's
-// producer->consumer reuse never staying on one core. Only a tile's north
-// and west neighbours actually gate it, so this module schedules tiles by
-// readiness instead:
+// The barrier scheduler steps the tile grid one anti-diagonal at a time
+// with a full barrier between diagonals: 2M-1 barriers for an MxM tile
+// grid, workers idling at the ragged edges of every diagonal, and a
+// tile's producer->consumer reuse never staying on one core. Only a
+// tile's north and west neighbours actually gate it, so the dataflow
+// scheduler schedules tiles by readiness instead:
 //
 //   * every in-band tile carries an atomic remaining-dependency counter
 //     (0, 1 or 2: its north and west neighbours clamped to the diagonal
@@ -19,7 +20,7 @@
 //     work-stealing substrate).
 //
 // There is no barrier anywhere: the schedule's span is the tile-grid
-// critical path, not the sum of per-diagonal maxima. Results are
+// critical path, not the sum of per-diagonal maxima. Both schedulers are
 // bit-identical to run_serial_wavefront for any deterministic kernel —
 // every cell is computed exactly once, row-major within its tile, from
 // fully-computed neighbours.
@@ -35,22 +36,21 @@ namespace wavetune::cpu {
 
 /// CPU wavefront scheduling discipline for the executor's phases 1 and 3.
 enum class Scheduler {
-  kBarrier,   ///< per-tile-diagonal parallel_for (run_tiled_wavefront)
+  kBarrier,   ///< one parallel_for per tile-diagonal, barrier between them
   kDataflow,  ///< dependency counters + work stealing (this module)
 };
 
 /// "barrier" / "dataflow" (stable names used by benches and logs).
 const char* scheduler_name(Scheduler s);
 
-/// Functionally executes the region under dataflow scheduling: every cell
-/// with i+j in [d_begin, d_end) is visited exactly once, in an order that
-/// respects the wavefront dependencies. The LoweredKernel overload is the
-/// hot path: each tile body is exactly ONE indirect call over `storage`
-/// (see core/lowered.hpp); the segment overload dispatches one
-/// type-erased call per clamped row-span; the CellFn overload adapts
-/// per-cell callees onto the same traversal. Exceptions thrown by the
-/// callee — including from tiles stolen by other workers — propagate to
-/// the caller (first one wins); remaining tiles are skipped.
+/// THE functional CPU sweep: executes every cell of the region (i+j in
+/// [d_begin, d_end), rows in the row window) exactly once, in an order
+/// that respects the wavefront dependencies, under scheduler `s`. Each
+/// tile is ONE indirect call into the lowered kernel over `storage` (see
+/// core/lowered.hpp): the row loop, neighbour-pointer advance and band
+/// clamp all live inside the call. Exceptions thrown by the kernel —
+/// including from tiles stolen by other workers — propagate to the caller
+/// (first one wins); remaining tiles are skipped.
 ///
 /// `storage` is full-grid storage by default. A non-zero `base_row` makes
 /// it a row-window buffer holding grid rows [base_row, ...) at the full
@@ -58,14 +58,11 @@ const char* scheduler_name(Scheduler s);
 /// core::LoweredKernel::tile_local); the region's row window must then
 /// start strictly below it (base_row < region.row_begin), so every north
 /// neighbour the sweep reads lies inside the buffer.
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const core::LoweredKernel& kernel, std::byte* storage,
-                            std::size_t base_row = 0);
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool,
-                            const RowSegmentFn& segment);
-void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool, const CellFn& cell);
+void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
+                   const core::LoweredKernel& kernel, std::byte* storage,
+                   std::size_t base_row = 0);
 
-/// Simulated time of run_dataflow_wavefront on `cpu`: a critical-path
+/// Simulated time of the dataflow schedule on `cpu`: a critical-path
 /// model. Per-tile cost is T^2 elements plus CpuModel::dataflow_dep_ns of
 /// dependency bookkeeping (counter updates + deque traffic) — there is no
 /// barrier_ns term and no per-diagonal slot rounding. The schedule takes
@@ -75,12 +72,7 @@ void run_dataflow_wavefront(const TiledRegion& region, ThreadPool& pool, const C
 double dataflow_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel& cpu,
                                   double tsize_units, std::size_t elem_bytes);
 
-/// Dispatch helpers: one switch point for the executor's CPU phases. The
-/// LoweredKernel overload is what the executor uses.
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const core::LoweredKernel& kernel, std::byte* storage);
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
-                   const RowSegmentFn& segment);
+/// Simulated time of run_wavefront under scheduler `s`.
 double wavefront_cost_ns(Scheduler s, const TiledRegion& region, const sim::CpuModel& cpu,
                          double tsize_units, std::size_t elem_bytes);
 

@@ -9,12 +9,7 @@ namespace wavetune::cpu {
 
 std::size_t TiledRegion::cell_count() const {
   // core/diag.hpp is the single source of the diagonal-length algebra.
-  const std::size_t r_hi = row_hi();
-  std::size_t n = 0;
-  for (std::size_t d = d_begin; d < d_end; ++d) {
-    n += core::diag_rows_in(dim, d, row_begin, r_hi);
-  }
-  return n;
+  return core::cells_in_rows(dim, d_begin, d_end, row_begin, row_hi());
 }
 
 void TiledRegion::validate() const {
@@ -57,118 +52,6 @@ std::size_t tile_grain(std::size_t n_tiles, std::size_t tile, std::size_t worker
   return std::min(want, fair);
 }
 
-namespace {
-
-/// Per-tile-diagonal state of the lowered barrier sweep, dispatched
-/// through ThreadPool's raw parallel_for so nothing type-erased is
-/// invoked per tile.
-struct LoweredDiagCtx {
-  const core::LoweredKernel* kernel;
-  std::byte* storage;
-  const TiledRegion* region;
-  std::size_t k;  ///< current tile-diagonal (I + J == k)
-};
-
-void run_lowered_diag_tile(void* pv, std::size_t I) {
-  const LoweredDiagCtx& c = *static_cast<const LoweredDiagCtx*>(pv);
-  const std::size_t dim = c.region->dim;
-  const std::size_t T = c.region->tile;
-  const std::size_t J = c.k - I;
-  // One indirect call per tile: clamping and the row loop live inside
-  // the lowered kernel dispatch. The row window clips tiles the strip
-  // boundary cuts through.
-  const std::size_t row_lo = std::max(I * T, c.region->row_begin);
-  const std::size_t row_hi = std::min({I * T + T, dim, c.region->row_hi()});
-  c.kernel->tile(c.storage, row_lo, row_hi, J * T, std::min(J * T + T, dim), c.region->d_begin,
-                 c.region->d_end);
-}
-
-/// Inclusive clamped tile-row range of tile-diagonal k under the region's
-/// row window; empty when first > last.
-struct TileRowRange {
-  std::size_t first = 1;
-  std::size_t last = 0;
-};
-
-TileRowRange tile_rows_on_diag(const TiledRegion& region, std::size_t M, std::size_t k) {
-  const std::size_t T = region.tile;
-  TileRowRange r;
-  r.first = std::max(core::diag_row_lo(M, k), region.row_begin / T);
-  r.last = std::min(core::diag_row_hi(M, k), (region.row_hi() - 1) / T);
-  return r;
-}
-
-}  // namespace
-
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const core::LoweredKernel& kernel, std::byte* storage) {
-  region.validate();
-  if (region.d_begin == region.d_end) return;
-  const std::size_t T = region.tile;
-  const std::size_t M = (region.dim + T - 1) / T;  // tiles per side
-
-  LoweredDiagCtx ctx{&kernel, storage, &region, 0};
-  for (std::size_t k = 0; k < 2 * M - 1; ++k) {
-    const std::size_t span_lo = k * T;
-    const std::size_t span_hi = (k + 2) * T - 2;  // inclusive
-    if (span_lo >= region.d_end || span_hi < region.d_begin) continue;
-
-    const TileRowRange rows = tile_rows_on_diag(region, M, k);
-    if (rows.first > rows.last) continue;
-    const std::size_t grain = tile_grain(rows.last - rows.first + 1, T, pool.worker_count());
-    ctx.k = k;
-    pool.parallel_for(rows.first, rows.last + 1, &run_lowered_diag_tile, &ctx, grain);
-    // parallel_for blocks: that is the inter-tile-diagonal barrier.
-  }
-}
-
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const RowSegmentFn& segment) {
-  region.validate();
-  if (region.d_begin == region.d_end) return;
-  const std::size_t dim = region.dim;
-  const std::size_t T = region.tile;
-  const std::size_t M = (dim + T - 1) / T;  // tiles per side
-
-  // Tile-diagonal k covers global diagonals [k*T, (k+2)*T - 2]; include k
-  // when that span intersects [d_begin, d_end).
-  for (std::size_t k = 0; k < 2 * M - 1; ++k) {
-    const std::size_t span_lo = k * T;
-    const std::size_t span_hi = (k + 2) * T - 2;  // inclusive
-    if (span_lo >= region.d_end || span_hi < region.d_begin) continue;
-
-    // Tiles on tile-diagonal k: same row algebra as cells on a cell
-    // diagonal of an MxM grid (core/diag.hpp, with dim = M), clamped to
-    // the region's row window.
-    const TileRowRange rows = tile_rows_on_diag(region, M, k);
-    if (rows.first > rows.last) continue;
-    const std::size_t grain = tile_grain(rows.last - rows.first + 1, T, pool.worker_count());
-    pool.parallel_for(
-        rows.first, rows.last + 1,
-        [&](std::size_t I) {
-          const std::size_t J = k - I;
-          const std::size_t row_lo = std::max(I * T, region.row_begin);
-          const std::size_t row_hi = std::min({I * T + T, dim, region.row_hi()});  // exclusive
-          const std::size_t col_lo = J * T;
-          const std::size_t col_hi = std::min(col_lo + T, dim);
-          // Clamp each row's column run to the diagonal band up front and
-          // dispatch it whole: no per-cell membership branch.
-          for (std::size_t i = row_lo; i < row_hi; ++i) {
-            if (region.d_end <= i) break;
-            const auto [j_lo, j_hi] =
-                row_band_span(i, region.d_begin, region.d_end, col_lo, col_hi);
-            if (j_lo < j_hi) segment(i, j_lo, j_hi);
-          }
-        },
-        grain);
-    // parallel_for blocks: that is the inter-tile-diagonal barrier.
-  }
-}
-
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool, const CellFn& cell) {
-  run_tiled_wavefront(region, pool, per_cell_adapter(cell));
-}
-
 void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& kernel,
                           std::byte* storage) {
   region.validate();
@@ -176,33 +59,12 @@ void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& 
   // One band-clamped dispatch over the whole remaining rectangle: a full
   // sweep (everything in band) is a SINGLE kernel call — row-major order
   // over the rectangle satisfies every wavefront dependency — and a band
-  // slice degrades to one call per clamped row inside tile_local(), the
-  // same traversal as the segment overload below.
+  // slice degrades to one call per clamped row inside tile_local().
   const std::size_t i_first =
       std::max(core::diag_row_lo(region.dim, region.d_begin), region.row_begin);
   const std::size_t i_last = region.row_hi();
   if (i_first >= i_last) return;
   kernel.tile(storage, i_first, i_last, 0, region.dim, region.d_begin, region.d_end);
-}
-
-void run_serial_wavefront(const TiledRegion& region, const RowSegmentFn& segment) {
-  region.validate();
-  if (region.d_begin == region.d_end) return;
-  // Rows below diag_row_lo(dim, d_begin) have an empty band span: when the
-  // band starts deep in the grid (phase-3 runs), skip straight to the
-  // first row that intersects it instead of scanning empties.
-  const std::size_t i_first =
-      std::max(core::diag_row_lo(region.dim, region.d_begin), region.row_begin);
-  for (std::size_t i = i_first; i < region.row_hi(); ++i) {
-    // Clamp the column range to the diagonal band to avoid a full scan.
-    if (region.d_end <= i) break;
-    const auto [j_lo, j_hi] = row_band_span(i, region.d_begin, region.d_end, 0, region.dim);
-    if (j_lo < j_hi) segment(i, j_lo, j_hi);
-  }
-}
-
-void run_serial_wavefront(const TiledRegion& region, const CellFn& cell) {
-  run_serial_wavefront(region, per_cell_adapter(cell));
 }
 
 double tiled_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel& cpu,
@@ -224,9 +86,12 @@ double tiled_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel& c
     const std::size_t span_lo = k * T;
     const std::size_t span_hi = (k + 2) * T - 2;
     if (span_lo >= region.d_end || span_hi < region.d_begin) continue;
-    const TileRowRange rows = tile_rows_on_diag(region, M, k);
-    if (rows.first > rows.last) continue;
-    const std::size_t n_k = rows.last - rows.first + 1;
+    // Tiles on tile-diagonal k: the cell-diagonal row algebra of an MxM
+    // grid (core/diag.hpp), clamped to the region's row window.
+    const std::size_t first = std::max(core::diag_row_lo(M, k), region.row_begin / T);
+    const std::size_t last = std::min(core::diag_row_hi(M, k), (region.row_hi() - 1) / T);
+    if (first > last) continue;
+    const std::size_t n_k = last - first + 1;
     const double slots = std::max(1.0, static_cast<double>(n_k) / P);
     total += slots * tile_cost + cpu.barrier_ns;
   }

@@ -1,48 +1,29 @@
-// Tiled parallel wavefront execution on the multicore CPU.
+// Tiled wavefront geometry on the multicore CPU.
 //
 // The grid is partitioned into TxT tiles; tile (I,J) depends on its west,
 // north and north-west neighbour tiles, so tiles on the same tile-diagonal
-// (I+J = k) are independent and run in parallel, with a barrier between
-// successive tile-diagonals. Within a tile, cells are computed row-major,
+// (I+J = k) are independent. Within a tile, cells are computed row-major,
 // which respects the cell-level dependencies and maximises cache reuse —
 // the optimization the paper's cpu-tile parameter controls.
 //
-// The module operates on an abstract "compute cell (i,j)" callback plus a
-// diagonal range, so the hybrid executor can use it for phases 1 and 3 and
-// tests can drive it with any recurrence. The diagonal-geometry algebra
-// comes from core/diag.hpp — the single definition shared with the GPU
-// partitioner and the cost model.
+// This header holds what both CPU schedulers share: the region a phase or
+// strip covers (a diagonal band, optionally a row window), the scheduling
+// grain, the serial reference sweep, and the simulated cost of the
+// barriered schedule and of the serial baseline. The schedulers
+// themselves sit behind the one functional entry point,
+// cpu::run_wavefront (cpu/dataflow_wavefront.hpp). Every sweep dispatches
+// a core::LoweredKernel; cell and segment kernels get there through
+// WavefrontSpec::lower(). The diagonal-geometry algebra comes from
+// core/diag.hpp — the single definition shared with the GPU partitioner
+// and the cost model.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <functional>
-#include <utility>
 
 #include "core/lowered.hpp"
-#include "cpu/thread_pool.hpp"
 #include "sim/hardware.hpp"
 
 namespace wavetune::cpu {
-
-/// Computes the value of cell (i, j); the callee reads whatever neighbour
-/// state it needs. Must be safe to call concurrently for cells on the same
-/// diagonal.
-using CellFn = std::function<void(std::size_t i, std::size_t j)>;
-
-/// Computes the contiguous run of cells (i, j) for j in [j_begin, j_end)
-/// in one call — the batched counterpart of CellFn that the hot loops
-/// dispatch (one call per clamped row-span instead of one per cell). Must
-/// be safe to call concurrently for segments of independent tiles.
-using RowSegmentFn = std::function<void(std::size_t i, std::size_t j_begin, std::size_t j_end)>;
-
-/// Adapts a per-cell callee onto the batched traversal. Captures `cell` by
-/// reference: the adapter must not outlive it.
-inline RowSegmentFn per_cell_adapter(const CellFn& cell) {
-  return [&cell](std::size_t i, std::size_t j_begin, std::size_t j_end) {
-    for (std::size_t j = j_begin; j < j_end; ++j) cell(i, j);
-  };
-}
 
 /// Column span of row i clamped to the diagonal band — the single clamp
 /// algebra, now defined in core/diag.hpp (the lowered-kernel dispatch
@@ -73,7 +54,6 @@ struct TiledRegion {
 
   /// One past the last row included (resolves the row_end == 0 default).
   std::size_t row_hi() const { return row_end == 0 ? dim : row_end; }
-  bool row_windowed() const { return row_begin > 0 || row_hi() < dim; }
 
   /// Number of cells with d_begin <= i+j < d_end and i in the row window
   /// (exact).
@@ -83,38 +63,17 @@ struct TiledRegion {
   void validate() const;
 };
 
-/// Functionally executes the region: every cell with i+j in
-/// [d_begin, d_end) is visited exactly once, in an order that respects the
-/// wavefront dependencies. Tiles of one tile-diagonal run concurrently on
-/// `pool`.
-///
-/// The LoweredKernel overload is the hot path: each tile is exactly ONE
-/// indirect call into the lowered kernel over `storage` (a full-grid-
-/// shaped row-major byte array) — the row loop, neighbour-pointer advance
-/// and band clamp all live inside the call; nothing type-erased is
-/// invoked per tile. The RowSegmentFn overload dispatches one type-erased
-/// call per clamped tile row (the segment ABI); the CellFn overload
-/// adapts per-cell callees onto the same traversal. All three visit the
-/// identical cell order.
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const core::LoweredKernel& kernel, std::byte* storage);
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool,
-                         const RowSegmentFn& segment);
-void run_tiled_wavefront(const TiledRegion& region, ThreadPool& pool, const CellFn& cell);
-
-/// Sequential reference: visits the same cells in row-major order (which
-/// also respects dependencies). Used as the correctness oracle in tests
-/// and as the functional part of the sequential baseline. The
-/// LoweredKernel overload executes a fully-in-band region as a SINGLE
-/// kernel call over the whole rectangle (row-major order satisfies every
-/// dependency); banded regions degrade to one call per clamped row. The
-/// segment overload issues one type-erased call per row.
+/// Sequential reference: visits the region's cells in row-major order
+/// (which respects every dependency). Used as the correctness oracle in
+/// tests and as the functional part of the sequential baseline. A
+/// fully-in-band region is a SINGLE kernel call over the whole rectangle;
+/// banded regions degrade to one call per clamped row inside
+/// LoweredKernel::tile().
 void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& kernel,
                           std::byte* storage);
-void run_serial_wavefront(const TiledRegion& region, const RowSegmentFn& segment);
-void run_serial_wavefront(const TiledRegion& region, const CellFn& cell);
 
-/// Simulated time of run_tiled_wavefront on `cpu`: per tile-diagonal,
+/// Simulated time of the barriered schedule (run_wavefront under
+/// Scheduler::kBarrier) on `cpu`: per tile-diagonal,
 /// max(1, tiles/P) tile slots of (T^2 elements + scheduling) plus a
 /// barrier. Deterministic in the parameters only — the hybrid executor's
 /// run() and estimate() both charge exactly this.

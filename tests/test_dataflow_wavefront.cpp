@@ -5,165 +5,22 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/spec.hpp"
 #include "sim/system_profile.hpp"
 
 namespace wavetune::cpu {
 namespace {
 
-/// Deterministic integer recurrence whose value at every cell depends on
-/// the exact values of its west/north neighbours: any dependency
-/// violation, missed or duplicated cell changes the result, so equality
-/// with the serial reference is a bit-identical equivalence proof.
-RowSegmentFn mix_segment(std::vector<std::uint64_t>& v, std::size_t dim) {
-  return [&v, dim](std::size_t i, std::size_t j0, std::size_t j1) {
-    for (std::size_t j = j0; j < j1; ++j) {
-      const std::uint64_t w = j > 0 ? v[i * dim + j - 1] : 1;
-      const std::uint64_t n = i > 0 ? v[(i - 1) * dim + j] : 1;
-      v[i * dim + j] = 3 * w + n + i + j;
-    }
-  };
-}
-
-std::vector<std::uint64_t> serial_reference(const TiledRegion& region) {
-  std::vector<std::uint64_t> ref(region.dim * region.dim, 0);
-  TiledRegion serial = region;
-  serial.tile = 1;
-  run_serial_wavefront(serial, mix_segment(ref, region.dim));
-  return ref;
-}
-
-// Property: dataflow result is bit-identical to the serial reference for
-// any (dim, tile), including non-divisible dims and T=1.
-class DataflowEqualsSerial
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
-
-TEST_P(DataflowEqualsSerial, FullGrid) {
-  const auto [dim, tile] = GetParam();
-  const TiledRegion region{dim, 0, 2 * dim - 1, tile};
-  const std::vector<std::uint64_t> ref = serial_reference(region);
-
-  ThreadPool pool(4);
-  std::vector<std::uint64_t> got(dim * dim, 0);
-  run_dataflow_wavefront(region, pool, mix_segment(got, dim));
-  EXPECT_EQ(ref, got);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    DimsAndTiles, DataflowEqualsSerial,
-    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 3, 7, 16, 33, 64, 129),
-                       ::testing::Values<std::size_t>(1, 2, 4, 8, 10, 100)));
-
-// Property: band slices (the executor's phase-1/phase-3 regions) are
-// bit-identical to the serial reference at every cut, including slices
-// that start deep in the grid.
-TEST(DataflowWavefront, BandSlicesMatchSerial) {
-  ThreadPool pool(4);
-  const std::size_t dim = 33;
-  for (std::size_t tile : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    for (auto [d0, d1] : {std::pair<std::size_t, std::size_t>{0, 2 * dim - 1},
-                          std::pair<std::size_t, std::size_t>{7, 41},
-                          std::pair<std::size_t, std::size_t>{40, 65},
-                          std::pair<std::size_t, std::size_t>{60, 65},
-                          std::pair<std::size_t, std::size_t>{12, 12}}) {
-      const TiledRegion region{dim, d0, d1, tile};
-      const std::vector<std::uint64_t> ref = serial_reference(region);
-      std::vector<std::uint64_t> got(dim * dim, 0);
-      run_dataflow_wavefront(region, pool, mix_segment(got, dim));
-      EXPECT_EQ(ref, got) << "tile=" << tile << " d=[" << d0 << "," << d1 << ")";
-    }
-  }
-}
-
-// Property: three phases [0,a) [a,b) [b,D) run back-to-back under
-// dataflow equal one serial pass — the executor's split is seamless.
-TEST(DataflowWavefront, PhaseSplitSeamless) {
-  ThreadPool pool(4);
-  const std::size_t dim = 20;
-  const std::size_t total = 2 * dim - 1;
-  for (std::size_t a : {std::size_t{0}, std::size_t{5}, std::size_t{19}, std::size_t{39}}) {
-    for (std::size_t len : {std::size_t{0}, std::size_t{7}, std::size_t{20}}) {
-      const std::size_t b = std::min(a + len, total);
-      const TiledRegion full{dim, 0, total, 1};
-      const std::vector<std::uint64_t> ref = serial_reference(full);
-
-      std::vector<std::uint64_t> got(dim * dim, 0);
-      run_dataflow_wavefront(TiledRegion{dim, 0, a, 3}, pool, mix_segment(got, dim));
-      run_dataflow_wavefront(TiledRegion{dim, a, b, 5}, pool, mix_segment(got, dim));
-      run_dataflow_wavefront(TiledRegion{dim, b, total, 2}, pool, mix_segment(got, dim));
-      EXPECT_EQ(ref, got) << "a=" << a << " b=" << b;
-    }
-  }
-}
-
-TEST(DataflowWavefront, VisitsEachCellExactlyOnce) {
-  const std::size_t dim = 15;
-  std::vector<std::atomic<int>> hits(dim * dim);
-  ThreadPool pool(4);
-  run_dataflow_wavefront(TiledRegion{dim, 3, 20, 4}, pool,
-                         [&](std::size_t i, std::size_t j) { hits[i * dim + j].fetch_add(1); });
-  for (std::size_t i = 0; i < dim; ++i) {
-    for (std::size_t j = 0; j < dim; ++j) {
-      const int expected = (i + j >= 3 && i + j < 20) ? 1 : 0;
-      EXPECT_EQ(hits[i * dim + j].load(), expected) << i << "," << j;
-    }
-  }
-}
-
-// Many-thread stress: more workers than cores, many small tiles, repeated
-// runs — exercises stealing, inline continuation, and the latch under
-// contention. Any lost or double-executed tile breaks equality.
-TEST(DataflowWavefront, ManyThreadStressBitIdentical) {
-  const std::size_t dim = 257;  // non-divisible by the tile
-  const TiledRegion region{dim, 0, 2 * dim - 1, 8};
-  const std::vector<std::uint64_t> ref = serial_reference(region);
-  ThreadPool pool(8);
-  for (int rep = 0; rep < 5; ++rep) {
-    std::vector<std::uint64_t> got(dim * dim, 0);
-    run_dataflow_wavefront(region, pool, mix_segment(got, dim));
-    ASSERT_EQ(ref, got) << "rep=" << rep;
-  }
-}
-
-// Exceptions from tiles — including tiles pushed to a deque and stolen by
-// other workers — propagate to the scheduler's caller, and the pool stays
-// usable afterwards.
-TEST(DataflowWavefront, ExceptionFromStolenTilePropagates) {
-  ThreadPool pool(4);
-  const std::size_t dim = 64;
-  const TiledRegion region{dim, 0, 2 * dim - 1, 4};
-  std::atomic<int> calls{0};
-  EXPECT_THROW(
-      run_dataflow_wavefront(region, pool,
-                             RowSegmentFn{[&](std::size_t i, std::size_t, std::size_t) {
-                               calls.fetch_add(1);
-                               if (i >= dim / 2) throw std::runtime_error("boom");
-                             }}),
-      std::runtime_error);
-  EXPECT_GT(calls.load(), 0);
-  // Pool reusable: a clean run still matches the reference.
-  const std::vector<std::uint64_t> ref = serial_reference(region);
-  std::vector<std::uint64_t> got(dim * dim, 0);
-  run_dataflow_wavefront(region, pool, mix_segment(got, dim));
-  EXPECT_EQ(ref, got);
-}
-
-TEST(DataflowWavefront, SingleWorkerPoolRunsInline) {
-  ThreadPool pool(1);
-  const std::size_t dim = 31;
-  const TiledRegion region{dim, 0, 2 * dim - 1, 4};
-  const std::vector<std::uint64_t> ref = serial_reference(region);
-  std::vector<std::uint64_t> got(dim * dim, 0);
-  run_dataflow_wavefront(region, pool, mix_segment(got, dim));
-  EXPECT_EQ(ref, got);
-}
-
-/// mix_segment's recurrence as a raw tile kernel over uint64 cells, for
-/// the LoweredKernel entry (pointer contract of core/lowered.hpp).
+/// Deterministic integer recurrence 3w + n + i + j over uint64 cells (1
+/// across the borders) whose value at every cell depends on the exact
+/// values of its west/north neighbours: any dependency violation, missed
+/// or duplicated cell changes the result, so equality with the serial
+/// reference is a bit-identical equivalence proof. This is the native
+/// tile kernel (pointer contract of core/lowered.hpp).
 void mix_tile(const void*, std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1,
               std::size_t stride, const std::byte* west, const std::byte* north,
               const std::byte*, std::byte* out) {
@@ -195,43 +52,222 @@ core::LoweredKernel mix_lowered(std::size_t dim) {
   return k;
 }
 
-// The strip-local entry: a row-window buffer holding only grid rows
-// [base_row, r1) must reproduce the full-grid run's rows [r0, r1), for
-// full and banded regions, with one worker (inline sweep) and four. Each
-// buffer is an exactly-sized heap block, so under ASan any read before
-// `base` — the north row of the window's first row lies at base, never
-// before it — is a reported heap-buffer-overflow.
+/// A spec of `elem_bytes` cells carrying only a cell kernel: lower()
+/// adapts it through both fallback rungs, the path every cell- and
+/// segment-ABI spec takes to the schedulers.
+core::LoweredKernel lower_cell_kernel(std::size_t dim, std::size_t elem_bytes,
+                                      core::ByteKernel kernel) {
+  core::WavefrontSpec spec;
+  spec.dim = dim;
+  spec.elem_bytes = elem_bytes;
+  spec.kernel = std::move(kernel);
+  return spec.lower();
+}
+
+/// The same recurrence as mix_tile on the cell rung.
+core::LoweredKernel mix_cell_lowered(std::size_t dim) {
+  return lower_cell_kernel(dim, sizeof(std::uint64_t),
+                           [](std::size_t i, std::size_t j, const std::byte* west,
+                              const std::byte* north, const std::byte*, std::byte* out) {
+                             std::uint64_t w = 1, n = 1;
+                             if (west) std::memcpy(&w, west, sizeof w);
+                             if (north) std::memcpy(&n, north, sizeof n);
+                             const std::uint64_t v = 3 * w + n + i + j;
+                             std::memcpy(out, &v, sizeof v);
+                           });
+}
+
+using Cells = std::vector<std::uint64_t>;
+
+std::byte* bytes(Cells& v) { return reinterpret_cast<std::byte*>(v.data()); }
+
+Cells serial_reference(const TiledRegion& region) {
+  Cells ref(region.dim * region.dim, 0);
+  TiledRegion serial = region;
+  serial.tile = 1;
+  run_serial_wavefront(serial, mix_lowered(region.dim), bytes(ref));
+  return ref;
+}
+
+/// One dataflow sweep of `region` with the native mix kernel.
+void run_mix(const TiledRegion& region, ThreadPool& pool, Cells& v) {
+  run_wavefront(Scheduler::kDataflow, region, pool, mix_lowered(region.dim), bytes(v));
+}
+
+// Property: dataflow result is bit-identical to the serial reference for
+// any (dim, tile), including non-divisible dims and T=1, for the native
+// tile kernel and for a cell kernel lowered through the fallback rungs.
+class DataflowEqualsSerial
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(DataflowEqualsSerial, FullGrid) {
+  const auto [dim, tile] = GetParam();
+  const TiledRegion region{dim, 0, 2 * dim - 1, tile};
+  const Cells ref = serial_reference(region);
+
+  ThreadPool pool(4);
+  for (const core::LoweredKernel& kernel : {mix_lowered(dim), mix_cell_lowered(dim)}) {
+    Cells got(dim * dim, 0);
+    run_wavefront(Scheduler::kDataflow, region, pool, kernel, bytes(got));
+    EXPECT_EQ(ref, got) << (kernel.native ? "tile rung" : "cell rung");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DimsAndTiles, DataflowEqualsSerial,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 3, 7, 16, 33, 64, 129),
+                       ::testing::Values<std::size_t>(1, 2, 4, 8, 10, 100)));
+
+// Property: band slices (the executor's phase-1/phase-3 regions) are
+// bit-identical to the serial reference at every cut, including slices
+// that start deep in the grid.
+TEST(DataflowWavefront, BandSlicesMatchSerial) {
+  ThreadPool pool(4);
+  const std::size_t dim = 33;
+  for (std::size_t tile : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+    for (auto [d0, d1] : {std::pair<std::size_t, std::size_t>{0, 2 * dim - 1},
+                          std::pair<std::size_t, std::size_t>{7, 41},
+                          std::pair<std::size_t, std::size_t>{40, 65},
+                          std::pair<std::size_t, std::size_t>{60, 65},
+                          std::pair<std::size_t, std::size_t>{12, 12}}) {
+      const TiledRegion region{dim, d0, d1, tile};
+      const Cells ref = serial_reference(region);
+      Cells got(dim * dim, 0);
+      run_mix(region, pool, got);
+      EXPECT_EQ(ref, got) << "tile=" << tile << " d=[" << d0 << "," << d1 << ")";
+    }
+  }
+}
+
+// Property: three phases [0,a) [a,b) [b,D) run back-to-back under
+// dataflow equal one serial pass — the executor's split is seamless.
+TEST(DataflowWavefront, PhaseSplitSeamless) {
+  ThreadPool pool(4);
+  const std::size_t dim = 20;
+  const std::size_t total = 2 * dim - 1;
+  for (std::size_t a : {std::size_t{0}, std::size_t{5}, std::size_t{19}, std::size_t{39}}) {
+    for (std::size_t len : {std::size_t{0}, std::size_t{7}, std::size_t{20}}) {
+      const std::size_t b = std::min(a + len, total);
+      const Cells ref = serial_reference(TiledRegion{dim, 0, total, 1});
+
+      Cells got(dim * dim, 0);
+      run_mix(TiledRegion{dim, 0, a, 3}, pool, got);
+      run_mix(TiledRegion{dim, a, b, 5}, pool, got);
+      run_mix(TiledRegion{dim, b, total, 2}, pool, got);
+      EXPECT_EQ(ref, got) << "a=" << a << " b=" << b;
+    }
+  }
+}
+
+TEST(DataflowWavefront, VisitsEachCellExactlyOnce) {
+  const std::size_t dim = 15;
+  std::vector<std::atomic<int>> hits(dim * dim);
+  ThreadPool pool(4);
+  const core::LoweredKernel count = lower_cell_kernel(
+      dim, 1,
+      [&](std::size_t i, std::size_t j, const std::byte*, const std::byte*, const std::byte*,
+          std::byte*) { hits[i * dim + j].fetch_add(1); });
+  std::vector<std::byte> storage(dim * dim);
+  run_wavefront(Scheduler::kDataflow, TiledRegion{dim, 3, 20, 4}, pool, count, storage.data());
+  for (std::size_t i = 0; i < dim; ++i) {
+    for (std::size_t j = 0; j < dim; ++j) {
+      const int expected = (i + j >= 3 && i + j < 20) ? 1 : 0;
+      EXPECT_EQ(hits[i * dim + j].load(), expected) << i << "," << j;
+    }
+  }
+}
+
+// Many-thread stress: more workers than cores, many small tiles, repeated
+// runs — exercises stealing, inline continuation, and the latch under
+// contention. Any lost or double-executed tile breaks equality.
+TEST(DataflowWavefront, ManyThreadStressBitIdentical) {
+  const std::size_t dim = 257;  // non-divisible by the tile
+  const TiledRegion region{dim, 0, 2 * dim - 1, 8};
+  const Cells ref = serial_reference(region);
+  ThreadPool pool(8);
+  for (int rep = 0; rep < 5; ++rep) {
+    Cells got(dim * dim, 0);
+    run_mix(region, pool, got);
+    ASSERT_EQ(ref, got) << "rep=" << rep;
+  }
+}
+
+// Exceptions from tiles — including tiles pushed to a deque and stolen by
+// other workers — propagate to the scheduler's caller, and the pool stays
+// usable afterwards.
+TEST(DataflowWavefront, ExceptionFromStolenTilePropagates) {
+  ThreadPool pool(4);
+  const std::size_t dim = 64;
+  const TiledRegion region{dim, 0, 2 * dim - 1, 4};
+  std::atomic<int> calls{0};
+  const core::LoweredKernel throwing = lower_cell_kernel(
+      dim, 1,
+      [&](std::size_t i, std::size_t, const std::byte*, const std::byte*, const std::byte*,
+          std::byte*) {
+        calls.fetch_add(1);
+        if (i >= dim / 2) throw std::runtime_error("boom");
+      });
+  std::vector<std::byte> storage(dim * dim);
+  EXPECT_THROW(run_wavefront(Scheduler::kDataflow, region, pool, throwing, storage.data()),
+               std::runtime_error);
+  EXPECT_GT(calls.load(), 0);
+  // Pool reusable: a clean run still matches the reference.
+  const Cells ref = serial_reference(region);
+  Cells got(dim * dim, 0);
+  run_mix(region, pool, got);
+  EXPECT_EQ(ref, got);
+}
+
+TEST(DataflowWavefront, SingleWorkerPoolRunsInline) {
+  ThreadPool pool(1);
+  const std::size_t dim = 31;
+  const TiledRegion region{dim, 0, 2 * dim - 1, 4};
+  const Cells ref = serial_reference(region);
+  Cells got(dim * dim, 0);
+  run_mix(region, pool, got);
+  EXPECT_EQ(ref, got);
+}
+
+// The strip-local entry, under both schedulers: a row-window buffer
+// holding only grid rows [base_row, r1) must reproduce the full-grid
+// run's rows [r0, r1), for full and banded regions, with one worker
+// (inline sweep) and four. Each buffer is an exactly-sized heap block, so
+// under ASan any read before `base` — the north row of the window's first
+// row lies at base, never before it — is a reported heap-buffer-overflow.
 TEST(DataflowWavefront, RowWindowBufferMatchesFullGridRows) {
   constexpr std::uint64_t kPoison = 0xDEADBEEFDEADBEEFull;
   const std::size_t dim = 37;
   const std::size_t total = 2 * dim - 1;
   const core::LoweredKernel kernel = mix_lowered(dim);
-  const std::vector<std::uint64_t> ref = serial_reference(TiledRegion{dim, 0, total, 1});
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    ThreadPool pool(workers);
-    for (const std::size_t tile : {std::size_t{4}, std::size_t{16}}) {
-      for (const auto& [r0, r1] : {std::pair<std::size_t, std::size_t>{0, 12},
-                                  std::pair<std::size_t, std::size_t>{10, 23},
-                                  std::pair<std::size_t, std::size_t>{30, 37}}) {
-        for (const auto& [d0, d1] : {std::pair<std::size_t, std::size_t>{0, total},
-                                    std::pair<std::size_t, std::size_t>{15, 50}}) {
-          const std::size_t base_row = r0 == 0 ? 0 : r0 - 1;
-          // Stage what the band needs: the halo row and every cell of the
-          // window outside the band; the band cells start as poison.
-          std::vector<std::uint64_t> buf((r1 - base_row) * dim, kPoison);
-          for (std::size_t i = base_row; i < r1; ++i) {
-            for (std::size_t j = 0; j < dim; ++j) {
-              const bool in_band = i >= r0 && i + j >= d0 && i + j < d1;
-              if (!in_band) buf[(i - base_row) * dim + j] = ref[i * dim + j];
+  const Cells ref = serial_reference(TiledRegion{dim, 0, total, 1});
+  for (const Scheduler sched : {Scheduler::kBarrier, Scheduler::kDataflow}) {
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+      ThreadPool pool(workers);
+      for (const std::size_t tile : {std::size_t{4}, std::size_t{16}}) {
+        for (const auto& [r0, r1] : {std::pair<std::size_t, std::size_t>{0, 12},
+                                    std::pair<std::size_t, std::size_t>{10, 23},
+                                    std::pair<std::size_t, std::size_t>{30, 37}}) {
+          for (const auto& [d0, d1] : {std::pair<std::size_t, std::size_t>{0, total},
+                                      std::pair<std::size_t, std::size_t>{15, 50}}) {
+            const std::size_t base_row = r0 == 0 ? 0 : r0 - 1;
+            // Stage what the band needs: the halo row and every cell of
+            // the window outside the band; the band cells start as poison.
+            Cells buf((r1 - base_row) * dim, kPoison);
+            for (std::size_t i = base_row; i < r1; ++i) {
+              for (std::size_t j = 0; j < dim; ++j) {
+                const bool in_band = i >= r0 && i + j >= d0 && i + j < d1;
+                if (!in_band) buf[(i - base_row) * dim + j] = ref[i * dim + j];
+              }
             }
-          }
-          run_dataflow_wavefront(TiledRegion{dim, d0, d1, tile, r0, r1}, pool, kernel,
-                                 reinterpret_cast<std::byte*>(buf.data()), base_row);
-          for (std::size_t i = base_row; i < r1; ++i) {
-            for (std::size_t j = 0; j < dim; ++j) {
-              ASSERT_EQ(buf[(i - base_row) * dim + j], ref[i * dim + j])
-                  << "workers=" << workers << " tile=" << tile << " rows=[" << r0 << "," << r1
-                  << ") d=[" << d0 << "," << d1 << ") cell " << i << "," << j;
+            run_wavefront(sched, TiledRegion{dim, d0, d1, tile, r0, r1}, pool, kernel,
+                          bytes(buf), base_row);
+            for (std::size_t i = base_row; i < r1; ++i) {
+              for (std::size_t j = 0; j < dim; ++j) {
+                ASSERT_EQ(buf[(i - base_row) * dim + j], ref[i * dim + j])
+                    << scheduler_name(sched) << " workers=" << workers << " tile=" << tile
+                    << " rows=[" << r0 << "," << r1 << ") d=[" << d0 << "," << d1 << ") cell "
+                    << i << "," << j;
+              }
             }
           }
         }
@@ -244,15 +280,16 @@ TEST(DataflowWavefront, RowWindowMustStartBelowTheBufferBase) {
   ThreadPool pool(2);
   const std::size_t dim = 16;
   const core::LoweredKernel kernel = mix_lowered(dim);
-  std::vector<std::uint64_t> buf(dim * dim, 0);
-  auto* base = reinterpret_cast<std::byte*>(buf.data());
+  Cells buf(dim * dim, 0);
   // Window starting AT the base row: its north row would lie before base.
-  EXPECT_THROW(run_dataflow_wavefront(TiledRegion{dim, 0, 2 * dim - 1, 4, 5, 9}, pool, kernel,
-                                      base, 5),
-               std::invalid_argument);
-  EXPECT_THROW(run_dataflow_wavefront(TiledRegion{dim, 0, 2 * dim - 1, 4, 5, 9}, pool, kernel,
-                                      base, 7),
-               std::invalid_argument);
+  for (const Scheduler sched : {Scheduler::kBarrier, Scheduler::kDataflow}) {
+    EXPECT_THROW(run_wavefront(sched, TiledRegion{dim, 0, 2 * dim - 1, 4, 5, 9}, pool, kernel,
+                               bytes(buf), 5),
+                 std::invalid_argument);
+    EXPECT_THROW(run_wavefront(sched, TiledRegion{dim, 0, 2 * dim - 1, 4, 5, 9}, pool, kernel,
+                               bytes(buf), 7),
+                 std::invalid_argument);
+  }
 }
 
 TEST(DataflowWavefront, SchedulerNames) {
@@ -264,10 +301,10 @@ TEST(DataflowWavefront, DispatcherSelectsScheduler) {
   ThreadPool pool(2);
   const std::size_t dim = 17;
   const TiledRegion region{dim, 0, 2 * dim - 1, 4};
-  const std::vector<std::uint64_t> ref = serial_reference(region);
+  const Cells ref = serial_reference(region);
   for (Scheduler s : {Scheduler::kBarrier, Scheduler::kDataflow}) {
-    std::vector<std::uint64_t> got(dim * dim, 0);
-    run_wavefront(s, region, pool, mix_segment(got, dim));
+    Cells got(dim * dim, 0);
+    run_wavefront(s, region, pool, mix_cell_lowered(dim), bytes(got));
     EXPECT_EQ(ref, got) << scheduler_name(s);
   }
 }

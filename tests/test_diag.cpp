@@ -78,6 +78,27 @@ TEST(Diag, RowsInSplitsPartition) {
   }
 }
 
+// The O(1) rectangle-of-band count equals the per-diagonal walk for every
+// band and row window of small grids.
+TEST(Diag, CellsInRowsMatchesTheDiagonalWalk) {
+  for (std::size_t dim : {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{8}}) {
+    const std::size_t total = num_diagonals(dim);
+    for (std::size_t d0 = 0; d0 <= total; ++d0) {
+      for (std::size_t d1 = d0; d1 <= total; ++d1) {
+        for (std::size_t r0 = 0; r0 <= dim; ++r0) {
+          for (std::size_t r1 = r0; r1 <= dim; ++r1) {
+            std::size_t want = 0;
+            for (std::size_t d = d0; d < d1; ++d) want += diag_rows_in(dim, d, r0, r1);
+            ASSERT_EQ(cells_in_rows(dim, d0, d1, r0, r1), want)
+                << "dim=" << dim << " d=[" << d0 << "," << d1 << ") rows=[" << r0 << "," << r1
+                << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Diag, CellsInRangePartial) {
   EXPECT_EQ(cells_in_diag_range(4, 0, 0), 0u);
   EXPECT_EQ(cells_in_diag_range(4, 2, 5), 3u + 4u + 3u);

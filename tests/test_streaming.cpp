@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -278,6 +279,34 @@ TEST(StreamedExecution, PeakDeviceResidencyIsBoundedByTheStripPool) {
   EXPECT_TRUE(grids_equal(ref, whole_g));
 }
 
+// The strip pool holds no more buffers than the phase has strips, and a
+// whole-grid phase (one strip of dim rows) holds exactly one dim x dim
+// buffer.
+TEST(StreamedExecution, StripPoolNeverOutnumbersTheStrips) {
+  const std::size_t dim = 40;
+  apps::SyntheticParams sp;
+  sp.dim = dim;
+  sp.tsize = 20.0;
+  sp.dsize = 2;
+  sp.functional_iters = 2;
+  const WavefrontSpec spec = apps::make_synthetic_spec(sp);
+  const std::size_t elem = spec.elem_bytes;
+  HybridExecutor ex(sim::make_i7_2600k(), 1);
+  const PhaseProgram whole = plan_phases(spec.inputs(), TunableParams{4, 20, -1, 5});
+  auto peak_of = [&](const PhaseProgram& program) {
+    ocl::Buffer::reset_peak();
+    Grid g(dim, elem);
+    ex.run(spec, program, g);
+    return ocl::Buffer::peak_bytes();
+  };
+  EXPECT_EQ(peak_of(whole), dim * dim * elem);
+  // One strip through a 3-buffer pool: one buffer of dim rows (a strip
+  // starting at row 0 has no halo row).
+  EXPECT_EQ(peak_of(apply_strips(whole, dim, 3)), dim * dim * elem);
+  // Two strips of 20 rows through a 3-buffer pool: two buffers of 21 rows.
+  EXPECT_EQ(peak_of(apply_strips(whole, 20, 3)), 2 * 21 * dim * elem);
+}
+
 // --- checkpoint / resume --------------------------------------------------
 
 TEST(Checkpoint, SerializeDeserializeRoundTrip) {
@@ -308,6 +337,38 @@ TEST(Checkpoint, SerializeDeserializeRoundTrip) {
   EXPECT_THROW(cp.validate_against("other-program", 4, 2), CheckpointError);
   EXPECT_THROW(cp.validate_against(cp.program_digest, 5, 2), CheckpointError);
   cp.validate_against(cp.program_digest, 4, 2);
+}
+
+// Length fields near 2^64 must not wrap the bounds check, and a geometry
+// whose byte size overflows must not alias a small grid: both are typed
+// CheckpointErrors, never std::length_error or an accepted snapshot.
+TEST(Checkpoint, HostileLengthFieldsAreTypedErrors) {
+  auto put = [](std::vector<std::byte>& b, auto v) {
+    const auto* p = reinterpret_cast<const std::byte*>(&v);
+    b.insert(b.end(), p, p + sizeof v);
+  };
+  // Magic, version, a 1-byte digest, then the five u64 fields
+  // dim, elem_bytes, phase_index, strip_index, grid_len.
+  auto payload = [&](std::uint64_t digest_len, std::uint64_t dim, std::uint64_t grid_len) {
+    std::vector<std::byte> b;
+    put(b, RunCheckpoint::kMagic);
+    put(b, RunCheckpoint::kVersion);
+    put(b, digest_len);
+    b.push_back(std::byte{'p'});
+    for (const std::uint64_t v : {dim, std::uint64_t{1}, std::uint64_t{0}, std::uint64_t{0},
+                                  grid_len}) {
+      put(b, v);
+    }
+    b.resize(b.size() + 64, std::byte{0});
+    return b;
+  };
+  const std::uint64_t huge = ~std::uint64_t{0} - 3;
+  EXPECT_THROW(RunCheckpoint::deserialize(payload(huge, 4, 16)), CheckpointError);
+  EXPECT_THROW(RunCheckpoint::deserialize(payload(1, 4, huge)), CheckpointError);
+  // dim * dim * elem_bytes wraps to 0: an empty grid must not pass for it.
+  std::vector<std::byte> wrap = payload(1, std::uint64_t{1} << 32, 0);
+  wrap.resize(wrap.size() - 64);
+  EXPECT_THROW(RunCheckpoint::deserialize(wrap), CheckpointError);
 }
 
 TEST(Checkpoint, SaveAndLoadFile) {

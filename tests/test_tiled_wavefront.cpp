@@ -4,28 +4,63 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <utility>
 #include <vector>
 
+#include "core/spec.hpp"
+#include "cpu/dataflow_wavefront.hpp"
 #include "sim/system_profile.hpp"
 
 namespace wavetune::cpu {
 namespace {
 
-/// Path-counting recurrence over a plain vector — any dependency violation
+/// A spec of `elem_bytes` cells carrying only a cell kernel: lower()
+/// adapts it through both fallback rungs, the path every cell- and
+/// segment-ABI spec takes to the schedulers.
+core::LoweredKernel lower_cell_kernel(std::size_t dim, std::size_t elem_bytes,
+                                      core::ByteKernel kernel) {
+  core::WavefrontSpec spec;
+  spec.dim = dim;
+  spec.elem_bytes = elem_bytes;
+  spec.kernel = std::move(kernel);
+  return spec.lower();
+}
+
+/// The segment-rung counterpart of lower_cell_kernel.
+core::LoweredKernel lower_segment_kernel(std::size_t dim, std::size_t elem_bytes,
+                                         core::SegmentKernel segment) {
+  core::WavefrontSpec spec;
+  spec.dim = dim;
+  spec.elem_bytes = elem_bytes;
+  spec.segment = std::move(segment);
+  return spec.lower();
+}
+
+std::uint32_t load_u32(const std::byte* p) {
+  std::uint32_t v = 0;
+  if (p) std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// Path-counting recurrence over uint32 cells — any dependency violation
 /// or missed/duplicated cell changes the result.
 struct PathGrid {
   std::size_t dim;
   std::vector<std::uint32_t> v;
-  explicit PathGrid(std::size_t d) : dim(d), v(d * d, 0) {}
-  CellFn cell_fn() {
-    return [this](std::size_t i, std::size_t j) {
-      const std::uint32_t w = j > 0 ? v[i * dim + j - 1] : 0;
-      const std::uint32_t n = i > 0 ? v[(i - 1) * dim + j] : 0;
-      v[i * dim + j] = (i == 0 && j == 0) ? 1 : w + n;
-    };
-  }
+  core::LoweredKernel kernel;
+  explicit PathGrid(std::size_t d)
+      : dim(d),
+        v(d * d, 0),
+        kernel(lower_cell_kernel(d, sizeof(std::uint32_t),
+                                 [](std::size_t i, std::size_t j, const std::byte* w,
+                                    const std::byte* n, const std::byte*, std::byte* out) {
+                                   const std::uint32_t value =
+                                       (i == 0 && j == 0) ? 1 : load_u32(w) + load_u32(n);
+                                   std::memcpy(out, &value, sizeof value);
+                                 })) {}
+  std::byte* data() { return reinterpret_cast<std::byte*>(v.data()); }
 };
 
 TEST(TiledRegion, CellCountFullGrid) {
@@ -48,7 +83,7 @@ TEST(TiledRegion, ValidateRejectsBadShapes) {
 
 TEST(TiledWavefront, SerialReferenceMatchesPascal) {
   PathGrid g(6);
-  run_serial_wavefront(TiledRegion{6, 0, 11, 1}, g.cell_fn());
+  run_serial_wavefront(TiledRegion{6, 0, 11, 1}, g.kernel, g.data());
   EXPECT_EQ(g.v[0], 1u);
   EXPECT_EQ(g.v[1 * 6 + 1], 2u);
   EXPECT_EQ(g.v[2 * 6 + 2], 6u);
@@ -61,11 +96,12 @@ class TiledEqualsSerial : public ::testing::TestWithParam<std::tuple<std::size_t
 TEST_P(TiledEqualsSerial, FullGrid) {
   const auto [dim, tile] = GetParam();
   PathGrid serial(dim);
-  run_serial_wavefront(TiledRegion{dim, 0, 2 * dim - 1, 1}, serial.cell_fn());
+  run_serial_wavefront(TiledRegion{dim, 0, 2 * dim - 1, 1}, serial.kernel, serial.data());
 
   PathGrid tiled(dim);
   ThreadPool pool(4);
-  run_tiled_wavefront(TiledRegion{dim, 0, 2 * dim - 1, tile}, pool, tiled.cell_fn());
+  run_wavefront(Scheduler::kBarrier, TiledRegion{dim, 0, 2 * dim - 1, tile}, pool, tiled.kernel,
+                tiled.data());
   EXPECT_EQ(serial.v, tiled.v);
 }
 
@@ -86,13 +122,14 @@ TEST_P(PhaseSplitSeamless, TwoCuts) {
   const std::size_t b = std::min(a + b_off, total);
 
   PathGrid one_pass(dim);
-  run_serial_wavefront(TiledRegion{dim, 0, total, 1}, one_pass.cell_fn());
+  run_serial_wavefront(TiledRegion{dim, 0, total, 1}, one_pass.kernel, one_pass.data());
 
   PathGrid phased(dim);
   ThreadPool pool(2);
-  run_tiled_wavefront(TiledRegion{dim, 0, a, 3}, pool, phased.cell_fn());
-  run_tiled_wavefront(TiledRegion{dim, a, b, 5}, pool, phased.cell_fn());
-  run_tiled_wavefront(TiledRegion{dim, b, total, 2}, pool, phased.cell_fn());
+  for (const TiledRegion& r : {TiledRegion{dim, 0, a, 3}, TiledRegion{dim, a, b, 5},
+                               TiledRegion{dim, b, total, 2}}) {
+    run_wavefront(Scheduler::kBarrier, r, pool, phased.kernel, phased.data());
+  }
   EXPECT_EQ(one_pass.v, phased.v);
 }
 
@@ -105,10 +142,15 @@ TEST(TiledWavefront, VisitsEachCellExactlyOnce) {
   std::vector<int> hits(dim * dim, 0);
   std::mutex m;
   ThreadPool pool(4);
-  run_tiled_wavefront(TiledRegion{dim, 3, 20, 4}, pool, [&](std::size_t i, std::size_t j) {
-    std::lock_guard<std::mutex> lock(m);
-    ++hits[i * dim + j];
-  });
+  const core::LoweredKernel count = lower_cell_kernel(
+      dim, 1,
+      [&](std::size_t i, std::size_t j, const std::byte*, const std::byte*, const std::byte*,
+          std::byte*) {
+        std::lock_guard<std::mutex> lock(m);
+        ++hits[i * dim + j];
+      });
+  std::vector<std::byte> storage(dim * dim);
+  run_wavefront(Scheduler::kBarrier, TiledRegion{dim, 3, 20, 4}, pool, count, storage.data());
   for (std::size_t i = 0; i < dim; ++i) {
     for (std::size_t j = 0; j < dim; ++j) {
       const int expected = (i + j >= 3 && i + j < 20) ? 1 : 0;
@@ -156,21 +198,26 @@ TEST(TiledWavefrontCost, ParallelBeatsSerialAtScale) {
             serial_wavefront_cost_ns(r, cpu, 100.0, 16));
 }
 
-// --- batched row-segment dispatch ---
+// --- segment-ABI kernels through lower() ---
 
-// The segment overloads must visit exactly the cells of the region, as
-// contiguous in-band runs: same coverage as the per-cell overloads, fewer
-// dispatches.
+// A segment-rung spec reaches the schedulers through lower()'s tile
+// fallback, one segment call per clamped tile row: exactly the cells of
+// the region, as contiguous in-band runs.
 TEST(RowSegmentDispatch, SerialCoversRegionExactlyOnce) {
   for (const TiledRegion& region :
        {TiledRegion{16, 0, 31, 1}, TiledRegion{16, 5, 20, 1}, TiledRegion{9, 3, 9, 1}}) {
     std::vector<int> hits(region.dim * region.dim, 0);
     std::size_t calls = 0;
-    run_serial_wavefront(region, RowSegmentFn{[&](std::size_t i, std::size_t j0, std::size_t j1) {
-                           ASSERT_LT(j0, j1);
-                           ++calls;
-                           for (std::size_t j = j0; j < j1; ++j) hits[i * region.dim + j]++;
-                         }});
+    const core::LoweredKernel kernel = lower_segment_kernel(
+        region.dim, 1,
+        [&](std::size_t i, std::size_t j0, std::size_t j1, const std::byte*, const std::byte*,
+            const std::byte*, std::byte*) {
+          ASSERT_LT(j0, j1);
+          ++calls;
+          for (std::size_t j = j0; j < j1; ++j) hits[i * region.dim + j]++;
+        });
+    std::vector<std::byte> storage(region.dim * region.dim);
+    run_serial_wavefront(region, kernel, storage.data());
     for (std::size_t i = 0; i < region.dim; ++i) {
       for (std::size_t j = 0; j < region.dim; ++j) {
         const std::size_t d = i + j;
@@ -183,30 +230,33 @@ TEST(RowSegmentDispatch, SerialCoversRegionExactlyOnce) {
   }
 }
 
+/// 3w + n + i + j over uint64 cells (1 across the borders), as a segment
+/// kernel walking the run with sliding neighbour pointers.
+void mix_segment(std::size_t i, std::size_t j0, std::size_t j1, const std::byte* west,
+                 const std::byte* north, const std::byte*, std::byte* out) {
+  std::uint64_t w = 1;
+  if (west) std::memcpy(&w, west, sizeof w);
+  for (std::size_t j = j0; j < j1; ++j) {
+    std::uint64_t n = 1;
+    if (north) std::memcpy(&n, north + (j - j0) * sizeof n, sizeof n);
+    w = 3 * w + n + i + j;
+    std::memcpy(out + (j - j0) * sizeof w, &w, sizeof w);
+  }
+}
+
 TEST(RowSegmentDispatch, TiledMatchesSerialValues) {
   ThreadPool pool(4);
   const std::size_t dim = 33;
+  const core::LoweredKernel kernel = lower_segment_kernel(dim, sizeof(std::uint64_t), mix_segment);
   for (std::size_t tile : {std::size_t{1}, std::size_t{4}, std::size_t{16}, std::size_t{40}}) {
     for (auto [d0, d1] : {std::pair<std::size_t, std::size_t>{0, 2 * dim - 1},
                           std::pair<std::size_t, std::size_t>{7, 41}}) {
       std::vector<std::uint64_t> ref(dim * dim, 0);
-      run_serial_wavefront(TiledRegion{dim, d0, d1, 1},
-                           RowSegmentFn{[&](std::size_t i, std::size_t j0, std::size_t j1) {
-                             for (std::size_t j = j0; j < j1; ++j) {
-                               const std::uint64_t w = j > 0 ? ref[i * dim + j - 1] : 1;
-                               const std::uint64_t n = i > 0 ? ref[(i - 1) * dim + j] : 1;
-                               ref[i * dim + j] = 3 * w + n + i + j;
-                             }
-                           }});
+      run_serial_wavefront(TiledRegion{dim, d0, d1, 1}, kernel,
+                           reinterpret_cast<std::byte*>(ref.data()));
       std::vector<std::uint64_t> got(dim * dim, 0);
-      run_tiled_wavefront(TiledRegion{dim, d0, d1, tile}, pool,
-                          RowSegmentFn{[&](std::size_t i, std::size_t j0, std::size_t j1) {
-                            for (std::size_t j = j0; j < j1; ++j) {
-                              const std::uint64_t w = j > 0 ? got[i * dim + j - 1] : 1;
-                              const std::uint64_t n = i > 0 ? got[(i - 1) * dim + j] : 1;
-                              got[i * dim + j] = 3 * w + n + i + j;
-                            }
-                          }});
+      run_wavefront(Scheduler::kBarrier, TiledRegion{dim, d0, d1, tile}, pool, kernel,
+                    reinterpret_cast<std::byte*>(got.data()));
       EXPECT_EQ(ref, got) << "tile=" << tile << " d=[" << d0 << "," << d1 << ")";
     }
   }
@@ -217,11 +267,15 @@ TEST(RowSegmentDispatch, SegmentsNeverCrossTileOrBandBoundaries) {
   const TiledRegion region{20, 6, 30, 8};
   std::mutex m;
   std::vector<std::array<std::size_t, 3>> segs;
-  run_tiled_wavefront(region, pool,
-                      RowSegmentFn{[&](std::size_t i, std::size_t j0, std::size_t j1) {
-                        std::lock_guard<std::mutex> lock(m);
-                        segs.push_back({i, j0, j1});
-                      }});
+  const core::LoweredKernel kernel = lower_segment_kernel(
+      region.dim, 1,
+      [&](std::size_t i, std::size_t j0, std::size_t j1, const std::byte*, const std::byte*,
+          const std::byte*, std::byte*) {
+        std::lock_guard<std::mutex> lock(m);
+        segs.push_back({i, j0, j1});
+      });
+  std::vector<std::byte> storage(region.dim * region.dim);
+  run_wavefront(Scheduler::kBarrier, region, pool, kernel, storage.data());
   std::size_t cells = 0;
   for (const auto& [i, j0, j1] : segs) {
     ASSERT_LT(j0, j1);
