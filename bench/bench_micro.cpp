@@ -1,36 +1,43 @@
 // Google-benchmark microbenchmarks for the substrate hot paths: cost-model
 // estimation throughput (the inner loop of the exhaustive search), the
 // functional executors driven through the api::Engine session API (plans
-// compiled once, runs submitted per iteration), the thread pool, and
-// model inference.
+// compiled once, runs submitted per iteration), the CPU sweep, and model
+// inference.
 //
 // `--json[=PATH]` switches to the perf-tracking mode: for editdist and
 // seqcmp at dim 512 and 2048 it times (a) the kernel ABI ladder — the
 // spec's cell kernel, its segment kernel, and its native tile kernel,
 // each lowered by WavefrontSpec::lower() (the cell and segment rungs
 // through its fallback adapters) and swept by cpu::run_wavefront (the
-// --kernel-abi axis) — and (b) the barriered per-tile-diagonal scheduler
-// against the dataflow dependency-counter scheduler on the tile rung (the
-// --scheduler axis, small and medium tiles, >= 4 workers), and writes the
-// ns/cell numbers to PATH (default BENCH_micro.json) so CI records the
-// hot-loop trajectory on every push.
+// --kernel-abi axis) — and (b) the scheduler axis: the one functional
+// sweep (dataflow) measured on the tile rung with >= 4 workers, next to
+// the simulated ns each scheduling discipline's cost model prices the
+// same region at (barrier: the paper's per-tile-diagonal model; dataflow:
+// the critical-path model). Both disciplines run the same code, so the
+// axis compares prices, not paths. It writes the ns/cell numbers to PATH
+// (default BENCH_micro.json) so CI records the hot-loop trajectory on
+// every push.
 //
-//   --kernel-abi={cell,segment,tile,all}  which ABI rungs to measure
-//                                         (default all; implies --json)
-//   --scheduler={barrier,dataflow,both}   which schedulers to measure
-//   --phase-plan={paper,cpu-only,split-band,all}
-//                                         phase-program shapes to run
-//                                         functionally through api::Engine
-//                                         (CompileOptions::program),
-//                                         emitting per-phase simulated ns
-//                                         plus the measured wall time per
-//                                         shape (default: none; implies
-//                                         --json)
-//   --quick                               smoke configuration: dim 512
-//                                         only, fewer reps (implies
-//                                         --json; what the Release CI
-//                                         job runs)
+//   --kernel-abi[=]{cell,segment,tile,all}  which ABI rungs to measure
+//                                           (default all; implies --json)
+//   --scheduler[=]{barrier,dataflow,both}   which disciplines' prices to
+//                                           report next to the measured
+//                                           sweep (default both)
+//   --phase-plan[=]{paper,cpu-only,split-band,all}
+//                                           phase-program shapes to run
+//                                           functionally through
+//                                           api::Engine
+//                                           (CompileOptions::program),
+//                                           emitting per-phase simulated
+//                                           ns plus the measured wall time
+//                                           per shape (default: none;
+//                                           implies --json)
+//   --quick                                 smoke configuration: dim 512
+//                                           only, fewer reps (implies
+//                                           --json; what the Release CI
+//                                           job runs)
 //
+// Every axis accepts both the `--axis=value` and the `--axis value` form.
 // The tile-ABI measurement also attributes its wall time across
 // lower/dispatch/compute phases (plan-time lowering cost, scheduler +
 // dispatch machinery via a no-op lowered kernel, and the remainder), so
@@ -165,16 +172,6 @@ void BM_EngineSubmitQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSubmitQueue);
 
-void BM_ThreadPoolParallelFor(benchmark::State& state) {
-  cpu::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  std::vector<double> out(4096, 0.0);
-  for (auto _ : state) {
-    pool.parallel_for(0, out.size(), [&](std::size_t i) { out[i] += 1.0; });
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_ThreadPoolParallelFor)->Arg(1)->Arg(2)->Arg(4);
-
 /// Path counting over uint32 cells as a per-cell kernel: lower() adapts it
 /// through both fallback rungs, the path any cell-ABI spec takes.
 core::LoweredKernel path_kernel(std::size_t dim) {
@@ -199,38 +196,13 @@ void BM_TiledWavefrontFunctional(benchmark::State& state) {
   const cpu::TiledRegion region{dim, 0, 2 * dim - 1, static_cast<std::size_t>(state.range(0))};
   const core::LoweredKernel kernel = path_kernel(dim);
   for (auto _ : state) {
-    cpu::run_wavefront(cpu::Scheduler::kBarrier, region, pool, kernel,
-                       reinterpret_cast<std::byte*>(v.data()));
+    cpu::run_wavefront(region, pool, kernel, reinterpret_cast<std::byte*>(v.data()));
     benchmark::DoNotOptimize(v.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(dim * dim));
 }
 BENCHMARK(BM_TiledWavefrontFunctional)->Arg(1)->Arg(8)->Arg(32);
-
-/// The --scheduler axis as a google-benchmark grid: barrier (0) vs
-/// dataflow (1) over a tile size, full sweep of a 512-grid.
-void BM_WavefrontScheduler(benchmark::State& state) {
-  const std::size_t dim = 512;
-  const auto sched =
-      state.range(0) == 0 ? cpu::Scheduler::kBarrier : cpu::Scheduler::kDataflow;
-  const cpu::TiledRegion region{dim, 0, 2 * dim - 1, static_cast<std::size_t>(state.range(1))};
-  std::vector<std::uint32_t> v(dim * dim, 0);
-  cpu::ThreadPool pool(4);
-  const core::LoweredKernel kernel = path_kernel(dim);
-  for (auto _ : state) {
-    cpu::run_wavefront(sched, region, pool, kernel, reinterpret_cast<std::byte*>(v.data()));
-    benchmark::DoNotOptimize(v.data());
-  }
-  state.SetLabel(cpu::scheduler_name(sched));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(dim * dim));
-}
-BENCHMARK(BM_WavefrontScheduler)
-    ->Args({0, 16})
-    ->Args({1, 16})
-    ->Args({0, 64})
-    ->Args({1, 64});
 
 void BM_M5Predict(benchmark::State& state) {
   ml::Dataset d({"a", "b", "c"});
@@ -282,20 +254,22 @@ core::WavefrontSpec micro_spec(const std::string& app, std::size_t dim) {
 
 struct MicroResult {
   // ABI axis (single-worker pool: dispatch + compute, no pool noise), each
-  // rung lowered by spec.lower() and swept by the barrier scheduler:
+  // rung lowered by spec.lower():
   double per_cell_ns = 0.0;  ///< ns/cell, cell kernel (two fallback adapters)
   double segment_ns = 0.0;   ///< ns/cell, segment kernel (tile fallback adapter)
   double tile_ns = 0.0;      ///< ns/cell, native tile kernel
   double lower_ns = 0.0;     ///< one-time plan lowering (spec.lower()), ns
   double dispatch_ns = 0.0;  ///< ns/cell, traversal+dispatch machinery only
                              ///< (no-op lowered kernel sweep)
-  // Scheduler axis (>= 4-worker pool: contention is the signal):
-  double barrier_ns = 0.0;   ///< ns/cell, tile rung, barrier sched
-  double dataflow_ns = 0.0;  ///< ns/cell, tile rung, dataflow sched
+  // Scheduler axis: the measured sweep (>= 4-worker pool: contention is
+  // the signal) and each discipline's simulated price of the same region.
+  double sweep_ns = 0.0;             ///< ns/cell, tile rung, measured wall
+  double barrier_priced_ns = 0.0;    ///< simulated ns/cell, barrier model
+  double dataflow_priced_ns = 0.0;   ///< simulated ns/cell, dataflow model
   bool native_tile = false;  ///< lowering hit the spec's native TileKernel
 };
 
-/// Which schedulers the --scheduler axis measures.
+/// Which disciplines' prices the --scheduler axis reports.
 enum class SchedAxis { kBarrier, kDataflow, kBoth };
 
 /// Which rungs of the kernel ABI ladder the --kernel-abi axis measures.
@@ -372,12 +346,11 @@ util::Json run_phase_plan(api::Engine& engine, const std::string& app, std::size
 
 /// Wall-clock of one full CPU sweep through the lowered (tile-granular)
 /// dispatch path — exactly what the executor's CPU phases run.
-double time_sweep_ns(cpu::Scheduler sched, std::size_t dim, cpu::ThreadPool& pool,
-                             std::size_t tile, const core::LoweredKernel& kernel,
-                             std::byte* data) {
+double time_sweep_ns(std::size_t dim, cpu::ThreadPool& pool, std::size_t tile,
+                     const core::LoweredKernel& kernel, std::byte* data) {
   const cpu::TiledRegion region{dim, 0, core::num_diagonals(dim), tile};
   const auto t0 = std::chrono::steady_clock::now();
-  cpu::run_wavefront(sched, region, pool, kernel, data);
+  cpu::run_wavefront(region, pool, kernel, data);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::nano>(t1 - t0).count();
 }
@@ -388,10 +361,10 @@ void noop_tile_kernel(const void*, std::size_t, std::size_t, std::size_t, std::s
                       std::size_t, const std::byte*, const std::byte*, const std::byte*,
                       std::byte*) {}
 
-/// `abi_pool` has ONE worker: parallel_for runs inline, so the ABI-axis
+/// `abi_pool` has ONE worker: the sweep runs inline, so the ABI-axis
 /// numbers compare pure dispatch + compute with no pool-scheduling noise
-/// masking the delta. `sched_pool` has >= 4 workers: the scheduler-axis
-/// numbers (barrier vs dataflow) measure exactly that contention.
+/// masking the delta. `sched_pool` has >= 4 workers: the measured sweep
+/// of the scheduler axis includes exactly that contention.
 MicroResult run_micro(const std::string& app, std::size_t dim, std::size_t tile,
                       cpu::ThreadPool& abi_pool, cpu::ThreadPool& sched_pool, int reps,
                       SchedAxis sched_axis, AbiAxis abi_axis) {
@@ -402,8 +375,6 @@ MicroResult run_micro(const std::string& app, std::size_t dim, std::size_t tile,
   const bool abi_cell = abi_axis == AbiAxis::kCell || abi_axis == AbiAxis::kAll;
   const bool abi_segment = abi_axis == AbiAxis::kSegment || abi_axis == AbiAxis::kAll;
   const bool abi_tile = abi_axis == AbiAxis::kTile || abi_axis == AbiAxis::kAll;
-  const bool sched_barrier = sched_axis != SchedAxis::kDataflow;
-  const bool sched_dataflow = sched_axis != SchedAxis::kBarrier;
 
   // Tile rung: plan-time lowering resolved ONCE, one indirect call per
   // tile (exactly what HybridExecutor + Engine plans dispatch).
@@ -429,32 +400,45 @@ MicroResult run_micro(const std::string& app, std::size_t dim, std::size_t tile,
 
   struct Sweep {
     bool on;
-    cpu::Scheduler sched;
     cpu::ThreadPool* pool;
     const core::LoweredKernel* kernel;
     double* out;
   };
   const Sweep sweeps[] = {
-      {abi_cell, cpu::Scheduler::kBarrier, &abi_pool, &cell, &r.per_cell_ns},
-      {abi_segment, cpu::Scheduler::kBarrier, &abi_pool, &segment, &r.segment_ns},
-      {abi_tile, cpu::Scheduler::kBarrier, &abi_pool, &lowered, &r.tile_ns},
-      {abi_tile, cpu::Scheduler::kBarrier, &abi_pool, &noop, &r.dispatch_ns},
-      {sched_barrier, cpu::Scheduler::kBarrier, &sched_pool, &lowered, &r.barrier_ns},
-      {sched_dataflow, cpu::Scheduler::kDataflow, &sched_pool, &lowered, &r.dataflow_ns},
+      {abi_cell, &abi_pool, &cell, &r.per_cell_ns},
+      {abi_segment, &abi_pool, &segment, &r.segment_ns},
+      {abi_tile, &abi_pool, &lowered, &r.tile_ns},
+      {abi_tile, &abi_pool, &noop, &r.dispatch_ns},
+      {true, &sched_pool, &lowered, &r.sweep_ns},
   };
   // One warmup each, then best-of-reps to shed noise.
   for (const Sweep& w : sweeps) {
     if (!w.on) continue;
-    time_sweep_ns(w.sched, dim, *w.pool, tile, *w.kernel, data);
+    time_sweep_ns(dim, *w.pool, tile, *w.kernel, data);
     *w.out = 1e300;
   }
   for (int rep = 0; rep < reps; ++rep) {
     for (const Sweep& w : sweeps) {
-      if (w.on) *w.out = std::min(*w.out, time_sweep_ns(w.sched, dim, *w.pool, tile, *w.kernel, data));
+      if (w.on) *w.out = std::min(*w.out, time_sweep_ns(dim, *w.pool, tile, *w.kernel, data));
     }
   }
   const double cells = static_cast<double>(dim) * static_cast<double>(dim);
   for (const Sweep& w : sweeps) *w.out /= cells;
+  // What each discipline's cost model charges for the same sweep.
+  const cpu::TiledRegion region{dim, 0, core::num_diagonals(dim), tile};
+  const core::InputParams in = spec.inputs();
+  const sim::CpuModel cpu = sim::make_i7_2600k().cpu;
+  if (sched_axis != SchedAxis::kDataflow) {
+    r.barrier_priced_ns =
+        cpu::wavefront_cost_ns(cpu::Scheduler::kBarrier, region, cpu, in.tsize, in.elem_bytes()) /
+        cells;
+  }
+  if (sched_axis != SchedAxis::kBarrier) {
+    r.dataflow_priced_ns =
+        cpu::wavefront_cost_ns(cpu::Scheduler::kDataflow, region, cpu, in.tsize,
+                               in.elem_bytes()) /
+        cells;
+  }
   return r;
 }
 
@@ -467,11 +451,11 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis,
   const bool abi_cell = abi_axis == AbiAxis::kCell || abi_axis == AbiAxis::kAll;
   const bool abi_segment = abi_axis == AbiAxis::kSegment || abi_axis == AbiAxis::kAll;
   const bool abi_tile = abi_axis == AbiAxis::kTile || abi_axis == AbiAxis::kAll;
-  // Two pools, one per axis: the scheduler comparison needs real
-  // contention — at least 4 workers (more when the host has them), per
-  // the perf-trajectory contract — while the kernel-ABI comparison wants
-  // NO contention (a single worker makes parallel_for run inline), so
-  // pool-scheduling noise can't mask the dispatch delta.
+  // Two pools, one per axis: the measured sweep of the scheduler axis
+  // needs real contention — at least 4 workers (more when the host has
+  // them), per the perf-trajectory contract — while the kernel-ABI
+  // comparison wants NO contention (a single worker makes the sweep run
+  // inline), so pool-scheduling noise can't mask the dispatch delta.
   std::size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
   cpu::ThreadPool abi_pool(1);
@@ -520,27 +504,30 @@ int run_json_mode(const std::string& path, SchedAxis sched_axis,
         } else {
           std::cout << " ns/cell";
         }
+        row["sweep_ns_per_cell"] = util::Json(r.sweep_ns);
+        std::cout << ", sweep " << r.sweep_ns << " ns/cell, priced";
         if (sched_axis != SchedAxis::kDataflow) {
-          row["barrier_ns_per_cell"] = util::Json(r.barrier_ns);
-          std::cout << ", sched barrier " << r.barrier_ns;
+          row["barrier_priced_ns_per_cell"] = util::Json(r.barrier_priced_ns);
+          std::cout << " barrier " << r.barrier_priced_ns;
         }
         if (sched_axis != SchedAxis::kBarrier) {
-          row["dataflow_ns_per_cell"] = util::Json(r.dataflow_ns);
-          std::cout << " dataflow " << r.dataflow_ns << " ns/cell";
-          if (sched_axis == SchedAxis::kBoth) {
-            row["dataflow_speedup"] = util::Json(r.barrier_ns / r.dataflow_ns);
-            std::cout << " (" << r.barrier_ns / r.dataflow_ns << "x)";
-          }
+          row["dataflow_priced_ns_per_cell"] = util::Json(r.dataflow_priced_ns);
+          std::cout << " dataflow " << r.dataflow_priced_ns;
         }
+        if (sched_axis == SchedAxis::kBoth) {
+          row["priced_dataflow_speedup"] = util::Json(r.barrier_priced_ns / r.dataflow_priced_ns);
+          std::cout << " (" << r.barrier_priced_ns / r.dataflow_priced_ns << "x)";
+        }
+        std::cout << " sim ns/cell";
         std::cout << "\n";
         runs.push_back(std::move(row));
       }
     }
   }
   util::Json doc = util::Json::object();
-  // v4: every rung is lowered by spec.lower(), and the scheduler axis
-  // sweeps the tile rung.
-  doc["schema"] = util::Json("wavetune.bench_micro.v4");
+  // v5: the scheduler axis is one measured sweep plus each discipline's
+  // simulated price (v4 measured a barrier and a dataflow sweep).
+  doc["schema"] = util::Json("wavetune.bench_micro.v5");
   doc["mode"] = util::Json("tiled_cpu");
   doc["scheduler_axis"] = util::Json(sched_axis == SchedAxis::kBoth      ? "both"
                                      : sched_axis == SchedAxis::kBarrier ? "barrier"
@@ -616,6 +603,18 @@ int main(int argc, char** argv) {
     }
     return true;
   };
+  const auto parse_sched = [&](const std::string& v) -> bool {
+    if (v == "barrier") {
+      sched_axis = SchedAxis::kBarrier;
+    } else if (v == "dataflow") {
+      sched_axis = SchedAxis::kDataflow;
+    } else if (v == "both") {
+      sched_axis = SchedAxis::kBoth;
+    } else {
+      return false;
+    }
+    return true;
+  };
   const auto parse_abi = [&](const std::string& v) -> bool {
     if (v == "cell") {
       abi_axis = AbiAxis::kCell;
@@ -644,20 +643,18 @@ int main(int argc, char** argv) {
       quick = true;
       json_mode = true;
       if (json_path.empty()) json_path = "BENCH_micro.json";
-    } else if (arg == "--scheduler") {
-      // A bare/space-separated form would otherwise be silently dropped
-      // and the run would measure the wrong thing.
-      std::cerr << "bench_micro: use --scheduler=barrier|dataflow|both (with '=')\n";
-      return 1;
-    } else if (arg.rfind("--scheduler=", 0) == 0) {
-      const std::string v = arg.substr(12);
-      if (v == "barrier") {
-        sched_axis = SchedAxis::kBarrier;
-      } else if (v == "dataflow") {
-        sched_axis = SchedAxis::kDataflow;
-      } else if (v == "both") {
-        sched_axis = SchedAxis::kBoth;
+    } else if (arg == "--scheduler" || arg.rfind("--scheduler=", 0) == 0) {
+      std::string v;
+      if (arg == "--scheduler") {
+        if (i + 1 >= argc) {
+          std::cerr << "bench_micro: --scheduler expects barrier, dataflow or both\n";
+          return 1;
+        }
+        v = argv[++i];
       } else {
+        v = arg.substr(12);
+      }
+      if (!parse_sched(v)) {
         std::cerr << "bench_micro: --scheduler expects barrier, dataflow or both\n";
         return 1;
       }
@@ -710,7 +707,7 @@ int main(int argc, char** argv) {
     if (!unrecognized.empty()) {
       std::cerr << "bench_micro: unrecognized argument(s) in JSON mode:";
       for (const std::string& a : unrecognized) std::cerr << " " << a;
-      std::cerr << "\n  (known: --json[=PATH], --quick, --scheduler=barrier|dataflow|both,"
+      std::cerr << "\n  (known: --json[=PATH], --quick, --scheduler[=]barrier|dataflow|both,"
                    " --kernel-abi[=]cell|segment|tile|all,"
                    " --phase-plan[=]paper|cpu-only|split-band|all)\n";
       return 1;

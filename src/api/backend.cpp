@@ -93,8 +93,8 @@ core::TunableParams prepare_cpu_only(const core::InputParams& in,
   return p.normalized(in.dim);
 }
 
-/// "cpu-tiled": tiled-parallel CPU execution with no GPU phase, under the
-/// paper's barriered per-tile-diagonal scheduling.
+/// "cpu-tiled": tiled-parallel CPU execution with no GPU phase, priced
+/// with the paper's barriered per-tile-diagonal model.
 class CpuTiledBackend final : public Backend {
 public:
   const std::string& name() const override {
@@ -108,12 +108,10 @@ public:
   }
 };
 
-/// "cpu-dataflow": tiled-parallel CPU execution under the dependency-
-/// counter dataflow scheduler (cpu/dataflow_wavefront.hpp) — no
-/// inter-diagonal barriers, work stealing across the pool. Prepared
-/// tunings are identical to "cpu-tiled" (GPU offload stripped, cpu_tile
-/// kept), and results are bit-identical; only the schedule (and therefore
-/// the charged simulated time) differs.
+/// "cpu-dataflow": tiled-parallel CPU execution priced with the dataflow
+/// critical-path model (cpu/dataflow_wavefront.hpp). Prepared tunings are
+/// identical to "cpu-tiled" (GPU offload stripped, cpu_tile kept), and it
+/// runs the same sweep; only the charged simulated time differs.
 class CpuDataflowBackend final : public Backend {
 public:
   const std::string& name() const override {
@@ -132,7 +130,7 @@ public:
   }
 };
 
-/// "cpu-auto": tiled-parallel CPU execution that picks the scheduling
+/// "cpu-auto": tiled-parallel CPU execution that picks the pricing
 /// discipline PER PHASE at plan time: the analytic cost models decide
 /// barrier vs dataflow for every CPU phase of the program the same way
 /// the paper's autotuner decides band/halo/tile. The chosen program is

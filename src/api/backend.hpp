@@ -11,16 +11,19 @@
 // by hand:
 //
 //   "serial"       optimized sequential baseline (HybridExecutor::run_serial)
-//   "cpu-tiled"    tiled-parallel CPU only, barriered per-tile-diagonal
-//                  scheduling — any GPU offload in the tuning is stripped
-//                  at prepare time
-//   "cpu-dataflow" tiled-parallel CPU only, dependency-counter dataflow
-//                  scheduling with work stealing (no inter-diagonal
-//                  barriers; see cpu/dataflow_wavefront.hpp) — same
-//                  prepare-time GPU stripping, bit-identical results
-//   "cpu-auto"     tiled-parallel CPU only; picks barrier vs dataflow per
-//                  input through the analytic cost models
-//                  (autotune::choose_cpu_scheduler)
+//   "cpu-tiled"    tiled-parallel CPU only, priced with the paper's
+//                  barriered per-tile-diagonal model — any GPU offload in
+//                  the tuning is stripped at prepare time
+//   "cpu-dataflow" tiled-parallel CPU only, priced with the dataflow
+//                  critical-path model (no barrier term; see
+//                  cpu/dataflow_wavefront.hpp) — same prepare-time GPU
+//                  stripping
+//   "cpu-auto"     tiled-parallel CPU only; picks the barrier or dataflow
+//                  price per phase through the analytic cost models
+//                  (autotune::tune_cpu_schedulers)
+//
+// The three CPU backends run the same dataflow sweep and produce the same
+// grids: they differ only in the simulated time they charge.
 //   "hybrid"       the paper's full three-phase CPU/GPU schedule
 //
 // User backends register through BackendRegistry::instance().add(...) and

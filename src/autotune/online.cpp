@@ -207,7 +207,9 @@ std::vector<core::PhaseProgram> program_neighbours(const core::PhaseProgram& bas
         p.phases[i].cpu_tile = static_cast<std::size_t>(t);
         push(std::move(p));
       }
-      // Per-phase scheduler flip.
+      // Per-phase scheduler flip: both disciplines run the same sweep, so
+      // this is a move in the cost model only (it can win when the
+      // measured residuals make one price fit better).
       {
         core::PhaseProgram p = base;
         p.phases[i].scheduler = ph.scheduler == cpu::Scheduler::kBarrier

@@ -9,8 +9,10 @@
 //
 //   * refine_program — the PROFILE-DRIVEN program-space hill climb: it
 //     mutates the compiled core::PhaseProgram itself (split / merge /
-//     re-device a phase, per-phase cpu_tile / gpu_tile and scheduler
-//     moves instead of one global tuning), scoring every candidate by the
+//     re-device a phase, per-phase cpu_tile / gpu_tile moves and
+//     scheduler flips — a pricing-only move, since every CPU phase runs
+//     the same sweep — instead of one global tuning), scoring every
+//     candidate by the
 //     interpreter's estimate with each phase's simulated time multiplied
 //     by the measured-vs-modelled residual scale of its device class
 //     (PhaseCostScales, produced by profile::device_scales from live

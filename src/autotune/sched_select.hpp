@@ -1,20 +1,21 @@
 // Per-input CPU-scheduler selection through the analytic cost model.
 //
-// The two CPU-phase scheduling disciplines (barriered tile-diagonal sweep
-// vs dependency-counter dataflow, cpu/dataflow_wavefront.hpp) produce
-// bit-identical grids, so the choice between them is purely a performance
-// question — and the cost models answer it deterministically per input by
-// walking the same core::PhaseProgram the executor interprets: cost each
-// CPU phase's region under each scheduler and take the argmin. For the
-// three shipped profiles the calibration (dataflow_dep_ns < tile_sched_ns,
-// barrier_ns > 0) makes dataflow the predicted winner on every nonempty
-// region; the selection hook earns its keep on recalibrated or
-// user-supplied CpuModels — machines where dependency bookkeeping and
-// steal traffic genuinely cost more than a pool barrier (high-core-count
-// NUMA boxes, dataflow_dep_ns measured above tile_sched_ns) flip the
-// answer per region shape. The "cpu-auto" backend applies the per-phase
-// refinement (tune_cpu_schedulers) at PLAN time, so the one program its
-// plan carries is what both run and estimate interpret.
+// Every CPU phase runs the same dataflow sweep; PhaseDesc::scheduler only
+// selects which cost model prices it (barriered tile-diagonal model vs
+// dependency-counter dataflow model, cpu/dataflow_wavefront.hpp). The
+// choice is therefore a pricing question, and the cost models answer it
+// deterministically per input by walking the same core::PhaseProgram the
+// executor interprets: cost each CPU phase's region under each model and
+// take the argmin. For the three shipped profiles the calibration
+// (dataflow_dep_ns < tile_sched_ns, barrier_ns > 0) makes dataflow the
+// cheaper price on every nonempty region; the selection hook earns its
+// keep on recalibrated or user-supplied CpuModels — machines where
+// dependency bookkeeping and steal traffic are priced above a pool
+// barrier (high-core-count NUMA boxes, dataflow_dep_ns measured above
+// tile_sched_ns) flip the answer per region shape. The "cpu-auto" backend
+// applies the per-phase refinement (tune_cpu_schedulers) at PLAN time, so
+// the one program its plan carries is what both run and estimate
+// interpret.
 #pragma once
 
 #include "core/params.hpp"

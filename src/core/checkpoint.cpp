@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "core/phase_program.hpp"
 #include "fault/injector.hpp"
 
 namespace wavetune::core {
@@ -126,14 +127,30 @@ RunCheckpoint RunCheckpoint::load_file(const std::string& path) {
   return deserialize(bytes);
 }
 
-void RunCheckpoint::validate_against(const std::string& digest, std::size_t want_dim,
+void RunCheckpoint::validate_against(const PhaseProgram& program,
                                      std::size_t want_elem_bytes) const {
+  const std::string digest = program.describe();
   if (program_digest != digest) {
     throw CheckpointError("checkpoint: program digest mismatch (saved under \"" +
                           program_digest + "\", resuming under \"" + digest + "\")");
   }
-  if (dim != want_dim || elem_bytes != want_elem_bytes) {
+  if (dim != program.dim || elem_bytes != want_elem_bytes) {
     throw CheckpointError("checkpoint: grid geometry mismatch");
+  }
+  if (phase_index >= program.phases.size()) {
+    throw CheckpointError("checkpoint: resume phase " + std::to_string(phase_index) +
+                          " is past the program's " + std::to_string(program.phases.size()) +
+                          " phases");
+  }
+  const PhaseDesc& ph = program.phases[phase_index];
+  if (!ph.streamed() && strip_index != 0) {
+    throw CheckpointError("checkpoint: resume strip " + std::to_string(strip_index) +
+                          " on whole-grid phase " + std::to_string(phase_index));
+  }
+  if (strip_index > ph.strip_count(dim)) {
+    throw CheckpointError("checkpoint: resume strip " + std::to_string(strip_index) +
+                          " is past phase " + std::to_string(phase_index) + "'s " +
+                          std::to_string(ph.strip_count(dim)) + " strips");
   }
 }
 

@@ -24,8 +24,11 @@
 
 namespace wavetune::core {
 
+struct PhaseProgram;
+
 /// Malformed/mismatched checkpoint bytes (bad magic, truncated payload,
-/// digest or geometry mismatch on resume, unwritable/unreadable file).
+/// digest, geometry or cursor mismatch on resume, unwritable/unreadable
+/// file).
 class CheckpointError : public std::runtime_error {
 public:
   using std::runtime_error::runtime_error;
@@ -57,10 +60,14 @@ struct RunCheckpoint {
   void save_file(const std::string& path) const;
   static RunCheckpoint load_file(const std::string& path);
 
-  /// Throws CheckpointError unless the snapshot matches the plan it is
-  /// about to resume under.
-  void validate_against(const std::string& digest, std::size_t want_dim,
-                        std::size_t want_elem_bytes) const;
+  /// Throws CheckpointError unless the snapshot matches the program it is
+  /// about to resume under: its describe() digest, the grid geometry, and
+  /// a cursor inside the program — phase_index names one of its phases,
+  /// and strip_index is 0 on a whole-grid phase and at most the strip
+  /// count of a streamed one (equal to it once the phase's last strip
+  /// completed). A cursor outside the program would make the resumed run
+  /// skip work and return an incomplete grid.
+  void validate_against(const PhaseProgram& program, std::size_t want_elem_bytes) const;
 };
 
 }  // namespace wavetune::core

@@ -57,22 +57,36 @@ constexpr std::pair<std::size_t, std::size_t> row_band_span(std::size_t i, std::
   return {std::max(col_lo, band_lo), std::min(col_hi, d_end - i)};
 }
 
-/// Cells (i, j) with row i in [row_begin, row_end) and i + j in
-/// [d_begin, d_end), in O(1): strip geometry and region sizes count a
-/// band's rectangle without walking its rows or diagonals.
+/// Cells (i, j) with row i in [row_begin, row_end), column j in
+/// [col_begin, col_end) and i + j in [d_begin, d_end), in O(1): strip
+/// geometry, region sizes and multi-GPU transfer counts count a band's
+/// rectangle without walking its rows or diagonals.
+constexpr std::size_t cells_in_rect(std::size_t d_begin, std::size_t d_end,
+                                    std::size_t row_begin, std::size_t row_end,
+                                    std::size_t col_begin, std::size_t col_end) {
+  if (d_begin >= d_end || row_begin >= row_end || col_begin >= col_end) return 0;
+  using ll = long long;
+  const ll w = static_cast<ll>(col_end - col_begin);
+  // Row i holds clamp(t - i - col_begin, 0, w) cells with i + j < t, so
+  // the rows sum clamp(u, 0, w) over a run of consecutive u; prefix(n) is
+  // that sum over u in [0, n].
+  auto prefix = [w](ll n) -> ll {
+    if (n < 0) return 0;
+    if (n <= w) return n * (n + 1) / 2;
+    return w * (w + 1) / 2 + (n - w) * w;
+  };
+  auto below = [&](std::size_t t) {  // cells of the rectangle with i + j < t
+    const ll x = static_cast<ll>(t) - static_cast<ll>(col_begin);
+    return prefix(x - static_cast<ll>(row_begin)) - prefix(x - static_cast<ll>(row_end));
+  };
+  return static_cast<std::size_t>(below(d_end) - below(d_begin));
+}
+
+/// Cells (i, j) of a dim x dim grid with row i in [row_begin, row_end) and
+/// i + j in [d_begin, d_end), in O(1).
 constexpr std::size_t cells_in_rows(std::size_t dim, std::size_t d_begin, std::size_t d_end,
                                     std::size_t row_begin, std::size_t row_end) {
-  // Cells with i < r and i + j < t: each row i < min(r, t, dim) holds
-  // min(dim, t - i) of them, i.e. dim for i <= t - dim, t - i after.
-  auto below = [dim](std::size_t r, std::size_t t) {
-    const std::size_t m = std::min({r, t, dim});
-    const std::size_t full = t >= dim ? std::min(t - dim + 1, m) : 0;
-    const std::size_t n = m - full;
-    return full * dim + n * t - n * (full + m - 1) / 2;
-  };
-  if (d_begin >= d_end || row_begin >= row_end) return 0;
-  return (below(row_end, d_end) - below(row_end, d_begin)) -
-         (below(row_begin, d_end) - below(row_begin, d_begin));
+  return cells_in_rect(d_begin, d_end, std::min(row_begin, dim), std::min(row_end, dim), 0, dim);
 }
 
 /// Total cells over diagonals [d_begin, d_end).

@@ -21,12 +21,13 @@ constexpr long long kValidNone = LLONG_MAX / 4;  ///< no row valid
 
 long long ll(std::size_t v) { return static_cast<long long>(v); }
 
-/// Smallest host tile side for the functional sweep of a single-GPU phase
-/// or strip. The simulated work-group shape (gpu_tile) only prices the
-/// launches; the cells themselves run as one dataflow sweep on the
-/// executor's pool with tiles of max(gpu_tile, kGpuHostTileMin). Smaller
-/// tiles cost about one pool wake-up each for too little work; much
-/// larger ones leave a short strip too few tiles to spread.
+/// Smallest host tile side for the functional sweep of a single-GPU phase,
+/// strip or multi-GPU halo epoch. The simulated work-group shape
+/// (gpu_tile) only prices the launches; the cells themselves run as one
+/// dataflow sweep on the executor's pool with tiles of
+/// max(gpu_tile, kGpuHostTileMin). Smaller tiles cost about one pool
+/// wake-up each for too little work; much larger ones leave a short strip
+/// too few tiles to spread.
 constexpr std::size_t kGpuHostTileMin = 16;
 
 std::size_t gpu_host_tile(const PhaseDesc& ph) { return std::max(ph.gpu_tile, kGpuHostTileMin); }
@@ -38,37 +39,35 @@ std::size_t strip_pool_size(const PhaseDesc& ph, std::size_t dim) {
   return ph.streamed() ? std::min(ph.strip_buffers, ph.strip_count(dim)) : 1;
 }
 
-/// A multi-GPU flush with fewer queued cells than this runs on the calling
-/// thread: waking a pool worker costs more than the work (a halo-0 split
-/// flushes once per diagonal).
-constexpr std::size_t kFlushInlineCells = 2048;
+/// A multi-GPU halo epoch with fewer cells than this runs on the calling
+/// thread: waking the pool costs more than the work (a halo-0 split has
+/// one epoch per device per diagonal).
+constexpr std::size_t kEpochInlineCells = 2048;
 
-/// One device's kernel launch on diagonal d: rows [lo, hi].
-struct DiagRun {
-  std::size_t d;
-  std::size_t lo, hi;
-};
+/// One device's cells queued since the last flush: the launches of
+/// consecutive diagonals [d_begin, d_end), each a run of rows. After a
+/// halo swap a device's validity frontier climbs one row per diagonal, so
+/// the launches of an epoch cover a diagonal band clipped to a row window
+/// and a column cap — one column-capped cpu::TiledRegion.
+struct Epoch {
+  std::size_t d_begin = 0, d_end = 0;
+  std::size_t row_lo = 0, row_hi = 0;  ///< rows [row_lo, row_hi)
+  std::size_t col_hi = 0;              ///< columns [0, col_hi)
+  std::size_t cells = 0;
 
-/// Computes one device's queued diagonal runs on its buffer, row-major.
-/// Between two flushes the runs cover consecutive diagonals and both row
-/// bounds are nondecreasing in d (a device's validity frontier only moves
-/// back at a halo swap, and every swap flushes first), so row i's cells
-/// are one contiguous column span: one block call per row. Row-major
-/// order computes each cell after its in-epoch north and west neighbours,
-/// and cells outside the epoch do not change during it, so the values
-/// equal those of the launch-by-launch schedule.
-void run_device_epoch(const LoweredKernel& kernel, std::byte* storage,
-                      const std::vector<DiagRun>& runs) {
-  if (runs.empty()) return;
-  // Row i's cells come from runs [a, b): those with hi >= i and lo <= i.
-  std::size_t a = 0;
-  std::size_t b = 0;
-  for (std::size_t i = runs.front().lo; i <= runs.back().hi; ++i) {
-    while (a < runs.size() && runs[a].hi < i) ++a;
-    while (b < runs.size() && runs[b].lo <= i) ++b;
-    if (a < b) kernel.block(storage, i, i + 1, runs[a].d - i, runs[b - 1].d - i + 1);
+  /// Queues the launch on diagonal d over rows [lo, hi].
+  void add(std::size_t d, std::size_t lo, std::size_t hi) {
+    if (cells == 0) {
+      d_begin = d;
+      row_lo = lo;
+    }
+    d_end = d + 1;
+    row_lo = std::min(row_lo, lo);
+    row_hi = std::max(row_hi, hi + 1);
+    col_hi = std::max(col_hi, d - lo + 1);
+    cells += hi - lo + 1;
   }
-}
+};
 
 using WallClock = std::chrono::steady_clock;
 
@@ -150,10 +149,21 @@ std::size_t PhaseBreakdown::redundant_cells() const {
 // --- executor -------------------------------------------------------------
 
 /// Run-mode state: the spec, the host grid, its control, and the device
-/// buffers of the current GPU phase. Device buffers are poison-filled so
-/// that any read of a cell the schedule never transferred or computed
-/// produces loudly-wrong values instead of accidentally-correct zeros.
+/// buffers of the current GPU phase. Device buffers come from the
+/// executor's idle list and go back to it when the run ends, normally or
+/// by an exception. Each phase poison-fills every byte it takes, so that
+/// any read of a cell the schedule never transferred or computed produces
+/// loudly-wrong values instead of accidentally-correct zeros — or a stale
+/// value of an earlier run.
 struct HybridExecutor::FunctionalCtx {
+  explicit FunctionalCtx(HybridExecutor& owner)
+      : idle(&owner.idle_buffers_),
+        owned(&owner.buffers_owned_),
+        idle_mutex(&owner.buffer_mutex_) {}
+  FunctionalCtx(const FunctionalCtx&) = delete;
+  FunctionalCtx& operator=(const FunctionalCtx&) = delete;
+  ~FunctionalCtx() { release_buffers(); }
+
   const WavefrontSpec* spec = nullptr;
   cpu::ThreadPool* pool = nullptr;
   /// Plan-time kernel resolution (core/lowered.hpp), resolved exactly
@@ -168,6 +178,11 @@ struct HybridExecutor::FunctionalCtx {
   /// One full-grid-shaped buffer per GPU of a multi-GPU phase, or a
   /// single-GPU phase's strip pool.
   std::vector<ocl::Buffer> dev;
+  /// The executor's idle device buffers and the count of all buffers it
+  /// owns, idle or held by a run; both guarded by *idle_mutex.
+  std::vector<ocl::Buffer>* idle;
+  std::size_t* owned;
+  std::mutex* idle_mutex;
 
   // Streaming checkpoint/resume plumbing.
   const StreamControl* stream = nullptr;
@@ -175,6 +190,41 @@ struct HybridExecutor::FunctionalCtx {
   std::size_t resume_phase = 0;   ///< phases before this are charge-only
   std::size_t resume_strip = 0;   ///< strips of resume_phase before this too
   bool resuming = false;
+
+  /// Holds `count` device buffers of `bytes` each, every byte poisoned:
+  /// the largest idle buffers first (resized within their capacity), fresh
+  /// ones when too few are idle.
+  void take_buffers(std::size_t count, std::size_t bytes) {
+    release_buffers();
+    dev.reserve(count);
+    {
+      std::lock_guard<std::mutex> lock(*idle_mutex);
+      std::sort(idle->begin(), idle->end(), [](const ocl::Buffer& a, const ocl::Buffer& b) {
+        return a.capacity() < b.capacity();
+      });
+      while (dev.size() < count && !idle->empty()) {
+        dev.push_back(std::move(idle->back()));
+        idle->pop_back();
+      }
+      // Every buffer the executor owns keeps a slot in the idle list, so
+      // giving buffers back never allocates.
+      const std::size_t fresh = count - dev.size();
+      idle->reserve(*owned + fresh);
+      *owned += fresh;
+    }
+    dev.resize(count);
+    for (ocl::Buffer& b : dev) b.reset(bytes, Grid::kPoison);
+  }
+
+  /// Gives the held buffers back to the executor's idle list at zero live
+  /// bytes, capacity kept.
+  void release_buffers() noexcept {
+    if (dev.empty()) return;
+    for (ocl::Buffer& b : dev) b.reset(0);
+    std::lock_guard<std::mutex> lock(*idle_mutex);
+    for (ocl::Buffer& b : dev) idle->push_back(std::move(b));
+    dev.clear();
+  }
 
   std::size_t real_elem() const { return spec->elem_bytes; }
   std::size_t real_offset(std::size_t i, std::size_t j) const {
@@ -278,7 +328,7 @@ RunResult HybridExecutor::run(const WavefrontSpec& spec, const PhaseProgram& pro
     local = spec.lower();
     lowered = &local;
   }
-  FunctionalCtx fctx;
+  FunctionalCtx fctx(*this);
   fctx.spec = &spec;
   fctx.pool = &pool_;
   fctx.lowered = lowered;
@@ -290,7 +340,7 @@ RunResult HybridExecutor::run(const WavefrontSpec& spec, const PhaseProgram& pro
     if (stream->resume) {
       // Restore the snapshot and set the charge-only cursor: everything
       // before (resume_phase, resume_strip) is already in the grid.
-      stream->resume->validate_against(fctx.program_digest, spec.dim, spec.elem_bytes);
+      stream->resume->validate_against(program, spec.elem_bytes);
       std::memcpy(grid.data(), stream->resume->grid.data(), stream->resume->grid.size());
       fctx.resuming = true;
       fctx.resume_phase = stream->resume->phase_index;
@@ -374,9 +424,10 @@ RunResult HybridExecutor::execute(const InputParams& in, const PhaseProgram& pro
 
   // ONE walk of the program, shared by run (fctx != nullptr) and estimate
   // (fctx == nullptr). Each phase charges its simulated time; in run mode
-  // it also executes functionally — CPU phases through the selected
-  // scheduler (one lowered-kernel call per tile, resolved before any
-  // loop), GPU phases through the simulated devices.
+  // it also executes functionally — CPU phases as dataflow sweeps (one
+  // lowered-kernel call per tile, resolved before any loop) priced by
+  // their scheduler's cost model, GPU phases through the simulated
+  // devices.
   for (std::size_t p = 0; p < program.phases.size(); ++p) {
     const PhaseDesc& ph = program.phases[p];
     // Phase boundary, run mode only: the fault-injection site and the
@@ -427,7 +478,7 @@ RunResult HybridExecutor::execute(const InputParams& in, const PhaseProgram& pro
         t.ns += cpu::wavefront_cost_ns(ph.scheduler, region, profile_.cpu, in.tsize,
                                        in.elem_bytes());
         if (f && s >= resume_strip) {
-          cpu::run_wavefront(ph.scheduler, region, *f->pool, *f->lowered, f->host->data());
+          cpu::run_wavefront(region, *f->pool, *f->lowered, f->host->data());
           if (ph.streamed()) f->maybe_checkpoint(p, s + 1);
         }
       }
@@ -453,23 +504,19 @@ void HybridExecutor::gpu_phase(const InputParams& in, const PhaseDesc& ph,
                                std::size_t phase_index, ocl::Trace* trace,
                                PhaseTiming& out) const {
   if (fctx) {
-    // The one device-buffer allocation site. The multi-GPU wedge holds one
+    // The one site that takes device buffers. The multi-GPU wedge holds one
     // full-grid-shaped buffer per device. A single-GPU phase holds its
     // strip pool: min(strip_buffers, strips) buffers of one strip plus its
     // halo row, so peak residency is O(strip_rows * dim), not O(dim^2); a
     // whole-grid phase is one strip of dim rows, i.e. one dim x dim
-    // buffer. Buffers are poison-filled so reads of cells the schedule
-    // never staged produce loudly-wrong values.
+    // buffer. The buffers are reused across phases and runs, and poisoned
+    // afresh for every phase.
     const std::size_t row_bytes = in.dim * fctx->spec->elem_bytes;
     const bool multi = ph.gpu_count >= 2;
     const std::size_t rows = multi ? in.dim : std::min(ph.strip_height(in.dim) + 1, in.dim);
     const std::size_t count =
         multi ? static_cast<std::size_t>(ph.gpu_count) : strip_pool_size(ph, in.dim);
-    fctx->dev.clear();
-    for (std::size_t g = 0; g < count; ++g) {
-      fctx->dev.emplace_back(rows * row_bytes);
-      fctx->dev.back().fill(Grid::kPoison);
-    }
+    fctx->take_buffers(count, rows * row_bytes);
   }
   if (ph.gpu_count >= 2) {
     gpu_phase_multi(in, ph, fctx, trace, out);
@@ -672,8 +719,7 @@ void HybridExecutor::gpu_phase_strips(const InputParams& in, const PhaseDesc& ph
       // K_s's cells: one dataflow sweep over the strip's rows on its
       // buffer, addressed strip-locally (row r0-1 is the buffer's row 0).
       if (f && s >= resume_strip) {
-        cpu::run_wavefront(cpu::Scheduler::kDataflow,
-                           cpu::TiledRegion{dim, d0, d1, gpu_host_tile(ph), si.r0, si.r1},
+        cpu::run_wavefront(cpu::TiledRegion{dim, d0, d1, gpu_host_tile(ph), si.r0, si.r1},
                            *f->pool, *f->lowered, f->dev[buf_of(s)].data(), base_row_of(s));
       }
     };
@@ -750,18 +796,14 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
   // Initial transfers: device g gets rows [wedge_lo[g], split[g+1]) of the
   // frontier + region (its own band plus the initial halo wedge).
   for (std::size_t g = 0; g < n; ++g) {
-    std::size_t cells_in = 0;
-    for (std::size_t d = frontier_lo; d < d1; ++d) {
-      cells_in += diag_rows_in(dim, d, static_cast<std::size_t>(wedge_lo[g]),
-                               static_cast<std::size_t>(split[g + 1]));
-    }
-    ctx.device(g).charge_write(cells_in * esize);
-    out.transfer_in_ns += ctx.pcie_model().transfer_ns(cells_in * esize);
+    const auto lo = static_cast<std::size_t>(wedge_lo[g]);
+    const auto hi = static_cast<std::size_t>(split[g + 1]);
+    const std::size_t bytes = cells_in_rows(dim, frontier_lo, d1, lo, hi) * esize;
+    ctx.device(g).charge_write(bytes);
+    out.transfer_in_ns += ctx.pcie_model().transfer_ns(bytes);
     if (fctx) {
       fault::check(fault::Site::kGpuTransfer);
-      fctx->copy_diag_rows(fctx->host->data(), fctx->dev[g].data(), frontier_lo, d1,
-                           static_cast<std::size_t>(wedge_lo[g]),
-                           static_cast<std::size_t>(split[g + 1]));
+      fctx->copy_diag_rows(fctx->host->data(), fctx->dev[g].data(), frontier_lo, d1, lo, hi);
     }
   }
 
@@ -781,29 +823,29 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
   }
 
   // Functional work, decoupled from the launch charges: each device's
-  // per-diagonal row runs queue up and run as one pool task per device
-  // (devices are concurrent, as on the paper's hardware) whenever a halo
-  // swap is about to read a neighbour's buffer, and at phase end. A task
-  // touches only its own device buffer, so the devices never race.
-  std::vector<std::vector<DiagRun>> pending(fctx ? n : 0);
+  // launches queue up as one halo epoch, and a flush runs every device's
+  // epoch as one sweep over its own buffer, device after device, each
+  // spread over the whole pool. A flush happens whenever a halo swap is
+  // about to read a neighbour's buffer, and at phase end. The epoch's
+  // region must hold exactly the queued cells (it holds all of them by
+  // construction, so equal counts mean equal sets).
+  std::vector<Epoch> pending(fctx ? n : 0);
   auto flush = [&] {
-    std::size_t cells = 0;
-    for (const std::vector<DiagRun>& q : pending) {
-      for (const DiagRun& r : q) cells += r.hi - r.lo + 1;
+    for (std::size_t g = 0; g < n; ++g) {
+      Epoch& ep = pending[g];
+      if (ep.cells == 0) continue;  // a chained swap right after another
+      const cpu::TiledRegion region{dim,       ep.d_begin, ep.d_end, gpu_host_tile(ph),
+                                    ep.row_lo, ep.row_hi,  ep.col_hi};
+      if (region.cell_count() != ep.cells) {
+        throw std::logic_error("gpu_phase_multi: a halo epoch is not a column-capped band");
+      }
+      if (ep.cells < kEpochInlineCells) {
+        cpu::run_serial_wavefront(region, *fctx->lowered, fctx->dev[g].data());
+      } else {
+        cpu::run_wavefront(region, *fctx->pool, *fctx->lowered, fctx->dev[g].data());
+      }
+      ep = Epoch{};
     }
-    if (cells == 0) return;  // a chained swap right after another
-    struct FlushCtx {
-      FunctionalCtx* f;
-      std::vector<std::vector<DiagRun>>* pending;
-    } fc{fctx, &pending};
-    fctx->pool->parallel_for(
-        0, n,
-        [](void* pv, std::size_t g) {
-          const FlushCtx& c = *static_cast<const FlushCtx*>(pv);
-          run_device_epoch(*c.f->lowered, c.f->dev[g].data(), (*c.pending)[g]);
-        },
-        &fc, cells < kFlushInlineCells ? n : 1);
-    for (std::vector<DiagRun>& q : pending) q.clear();
   };
 
   // Per-diagonal device plan, reused across diagonals (this walk is the
@@ -829,26 +871,16 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
         // Halo swap: device g-1 -> host -> device g, strips
         // [wedge_lo[g], split[g]) of the two previous diagonals
         // (paper Fig. 3, chained across every internal boundary).
-        std::size_t strip_cells = 0;
-        for (long long pd = ll(d) - 2; pd <= ll(d) - 1; ++pd) {
-          if (pd < 0) continue;
-          strip_cells += diag_rows_in(dim, static_cast<std::size_t>(pd),
-                                      static_cast<std::size_t>(wedge_lo[g]),
-                                      static_cast<std::size_t>(split[g]));
-        }
-        const std::size_t bytes = strip_cells * esize;
+        const std::size_t pd_lo = d >= 2 ? d - 2 : 0;
+        const auto lo = static_cast<std::size_t>(wedge_lo[g]);
+        const auto hi = static_cast<std::size_t>(split[g]);
+        const std::size_t bytes = cells_in_rows(dim, pd_lo, d, lo, hi) * esize;
         ctx.device(g - 1).charge_copy_to(ctx.device(g), bytes);
         out.swap_ns += 2.0 * ctx.pcie_model().transfer_ns(bytes);
         ++out.swap_count;
         if (fctx) {
           flush();  // the swap reads device g-1's last two diagonals
-          for (long long pd = ll(d) - 2; pd <= ll(d) - 1; ++pd) {
-            if (pd < 0) continue;
-            fctx->copy_diag_rows(fctx->dev[g - 1].data(), fctx->dev[g].data(),
-                                 static_cast<std::size_t>(pd), static_cast<std::size_t>(pd) + 1,
-                                 static_cast<std::size_t>(wedge_lo[g]),
-                                 static_cast<std::size_t>(split[g]));
-          }
+          fctx->copy_diag_rows(fctx->dev[g - 1].data(), fctx->dev[g].data(), pd_lo, d, lo, hi);
         }
         v_dm1[g] = std::min(v_dm1[g], wedge_lo[g]);
         v_dm2[g] = std::min(v_dm2[g], wedge_lo[g]);
@@ -872,8 +904,8 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
       ctx.device(g).charge_kernel(shape);
       ++out.kernel_launches;
       if (fctx) {
-        pending[g].push_back(DiagRun{d, static_cast<std::size_t>(compute_lo[g]),
-                                     static_cast<std::size_t>(compute_hi[g])});
+        pending[g].add(d, static_cast<std::size_t>(compute_lo[g]),
+                       static_cast<std::size_t>(compute_hi[g]));
       }
       v_dm2[g] = v_dm1[g];
       v_dm1[g] = compute_lo[g] <= i_lo ? kValidAll : compute_lo[g];
@@ -884,18 +916,14 @@ void HybridExecutor::gpu_phase_multi(const InputParams& in, const PhaseDesc& ph,
 
   // Bulk transfers out: each device returns its owned region cells.
   for (std::size_t g = 0; g < n; ++g) {
-    std::size_t cells_out = 0;
-    for (std::size_t d = d0; d < d1; ++d) {
-      cells_out += diag_rows_in(dim, d, static_cast<std::size_t>(split[g]),
-                                static_cast<std::size_t>(split[g + 1]));
-    }
-    ctx.device(g).charge_read(cells_out * esize);
-    out.transfer_out_ns += ctx.pcie_model().transfer_ns(cells_out * esize);
+    const auto lo = static_cast<std::size_t>(split[g]);
+    const auto hi = static_cast<std::size_t>(split[g + 1]);
+    const std::size_t bytes = cells_in_rows(dim, d0, d1, lo, hi) * esize;
+    ctx.device(g).charge_read(bytes);
+    out.transfer_out_ns += ctx.pcie_model().transfer_ns(bytes);
     if (fctx) {
       fault::check(fault::Site::kGpuTransfer);
-      fctx->copy_diag_rows(fctx->dev[g].data(), fctx->host->data(), d0, d1,
-                           static_cast<std::size_t>(split[g]),
-                           static_cast<std::size_t>(split[g + 1]));
+      fctx->copy_diag_rows(fctx->dev[g].data(), fctx->host->data(), d0, d1, lo, hi);
     }
   }
 

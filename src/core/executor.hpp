@@ -8,8 +8,9 @@
 // it is handed, phase by phase:
 //
 //   kCpu        diagonals [d_begin, d_end) tiled-parallel across the
-//               cores, under the phase's scheduler (barriered sweep or
-//               dependency-counter dataflow).
+//               cores as one dataflow sweep; the phase's scheduler only
+//               picks the cost model that prices it (barriered
+//               tile-diagonal sweep or dependency-counter dataflow).
 //   kGpuSingle  the range on one simulated GPU, untiled (one kernel per
 //               diagonal) or tiled (work-groups of gpu_tile x gpu_tile
 //               cells, one kernel per tile-diagonal).
@@ -19,19 +20,36 @@
 // CPU and single-GPU phases run as row strips (PhaseDesc::strip_rows); a
 // whole-grid phase is the one-strip case of the same code, so the paper's
 // "transfer only twice" band is the strip schedule with one strip. The
-// multi-GPU wedge is its own walk.
+// multi-GPU wedge is its own charge walk.
 //
-// run() interprets the program functionally (real values, real threads
-// for the CPU phases) while charging simulated time; estimate() interprets
-// the IDENTICAL program charging time only. Parity is structural: both are
-// the same walk of the same data, differing only in whether a functional
-// context is attached — a property the test suite still checks over
-// randomized programs.
+// run() interprets the program functionally (real values, real threads)
+// while charging simulated time; estimate() interprets the IDENTICAL
+// program charging time only. Parity is structural: both are the same
+// walk of the same data, differing only in whether a functional context
+// is attached — a property the test suite still checks over randomized
+// programs. The functional work never charges anything: every simulated
+// launch, transfer and swap is charged by the walk, and the cells run on
+// the host, spread over the executor's pool and the calling thread:
+//
+//   * a CPU phase or strip is one cpu::run_wavefront over the host grid;
+//   * a single-GPU phase or strip is one cpu::run_wavefront over its
+//     device buffer, with host tiles of max(gpu_tile, 16);
+//   * a multi-GPU phase runs in halo epochs: between two swaps each
+//     device's launches cover a diagonal band clipped to a row window and
+//     a column cap, and every epoch is one cpu::run_wavefront over that
+//     device's buffer (epochs too small to wake the pool for run on the
+//     calling thread).
+//
+// Device buffers are pooled per executor: a GPU phase takes the largest
+// idle buffers, resizes them to its need and poisons every byte it uses;
+// the run gives them back when it ends, normally or by an exception. Idle
+// buffers count as 0 live bytes in ocl::Buffer's residency accounting.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -42,6 +60,7 @@
 #include "core/spec.hpp"
 #include "cpu/dataflow_wavefront.hpp"
 #include "cpu/thread_pool.hpp"
+#include "ocl/buffer.hpp"
 #include "sim/system_profile.hpp"
 
 namespace wavetune::ocl {
@@ -131,7 +150,9 @@ struct RunResult {
 /// simulated fields stay a pure function of (inputs, program).
 struct StreamControl {
   /// Snapshot to resume from; validated against the program's describe()
-  /// digest and the grid geometry (throws CheckpointError on mismatch).
+  /// digest, the grid geometry and the program's phases and strips
+  /// (throws CheckpointError on mismatch, see
+  /// RunCheckpoint::validate_against).
   const RunCheckpoint* resume = nullptr;
   /// Called after every `checkpoint_every_strips`-th completed strip of a
   /// streamed phase (never in estimate mode).
@@ -176,7 +197,9 @@ public:
                      ocl::Trace* trace = nullptr) const;
 
   /// Convenience: compiles the paper's default program via
-  /// core::plan_phases(spec.inputs(), params, scheduler) and runs it.
+  /// core::plan_phases(spec.inputs(), params, scheduler) and runs it
+  /// (`scheduler` prices the CPU phases; they run the same sweep either
+  /// way).
   RunResult run(const WavefrontSpec& spec, const TunableParams& params, Grid& grid,
                 ocl::Trace* trace = nullptr,
                 cpu::Scheduler scheduler = cpu::Scheduler::kBarrier,
@@ -199,6 +222,11 @@ public:
 private:
   sim::SystemProfile profile_;
   mutable cpu::ThreadPool pool_;
+  /// Device buffers between runs (see FunctionalCtx::take_buffers), and
+  /// the count of all buffers the executor owns, idle or in a run.
+  std::mutex buffer_mutex_;
+  std::vector<ocl::Buffer> idle_buffers_;
+  std::size_t buffers_owned_ = 0;
 
   struct FunctionalCtx;  // run-mode state (spec, host grid, device buffers)
 
@@ -207,6 +235,8 @@ private:
   RunResult execute(const InputParams& in, const PhaseProgram& program, FunctionalCtx* fctx,
                     ocl::Trace* trace) const;
 
+  /// A GPU phase: in run mode takes the phase's device buffers from the
+  /// pool (poisoned), then dispatches to the strip or multi-GPU walk.
   void gpu_phase(const InputParams& in, const PhaseDesc& ph, FunctionalCtx* fctx,
                  std::size_t resume_strip, std::size_t phase_index, ocl::Trace* trace,
                  PhaseTiming& out) const;
@@ -221,7 +251,8 @@ private:
                         std::size_t resume_strip, std::size_t phase_index, ocl::Trace* trace,
                         PhaseTiming& out) const;
   /// N-way row split (N >= 2) with chained halo exchanges; N == 2 is the
-  /// paper's dual-GPU schedule, N >= 3 the §6 future-work extension.
+  /// paper's dual-GPU schedule, N >= 3 the §6 future-work extension. The
+  /// functional work runs as one sweep per device per halo epoch.
   void gpu_phase_multi(const InputParams& in, const PhaseDesc& ph, FunctionalCtx* fctx,
                        ocl::Trace* trace, PhaseTiming& out) const;
 };

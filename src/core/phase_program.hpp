@@ -29,7 +29,7 @@ namespace wavetune::core {
 
 /// Where one phase of the program executes.
 enum class PhaseDevice {
-  kCpu,       ///< tiled-parallel CPU sweep (barrier or dataflow scheduling)
+  kCpu,       ///< tiled-parallel CPU sweep (priced barrier or dataflow)
   kGpuSingle, ///< one simulated GPU, untiled or work-group tiled
   kGpuMulti,  ///< N >= 2 GPUs, fixed row split with chained halo exchanges
 };
@@ -45,7 +45,9 @@ struct PhaseDesc {
   std::size_t d_end = 0;    ///< one past the last diagonal
 
   // CPU phases:
-  cpu::Scheduler scheduler = cpu::Scheduler::kBarrier;  ///< phase discipline
+  /// Cost model that prices the phase; every CPU phase runs the same
+  /// dataflow sweep.
+  cpu::Scheduler scheduler = cpu::Scheduler::kBarrier;
   std::size_t cpu_tile = 1;  ///< side of the square CPU tiles (>= 1)
 
   // GPU phases:
@@ -115,8 +117,8 @@ struct PhaseProgram {
 /// Compiles a tuning into the paper's schedule shape: CPU tiled before the
 /// band, the GPU band (single or multi device), CPU tiled after — empty
 /// phases omitted, so a band of -1 yields one whole-grid CPU phase and a
-/// full band yields a single GPU phase. `scheduler` is the discipline of
-/// every CPU phase (per-phase refinement lives in
+/// full band yields a single GPU phase. `scheduler` prices every CPU
+/// phase (per-phase refinement lives in
 /// autotune::tune_cpu_schedulers). `params` may be raw; it is normalized
 /// for in.dim first. The returned program is validated.
 PhaseProgram plan_phases(const InputParams& in, const TunableParams& params,

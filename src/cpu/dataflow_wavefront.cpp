@@ -8,84 +8,25 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/diag.hpp"
 #include "fault/injector.hpp"
 
 namespace wavetune::cpu {
 
 namespace {
 
-/// Contiguous range of tile-diagonals k (tile (I,J) is on k = I+J) whose
-/// global-diagonal span [k*T, (k+2)*T - 2] intersects [d_begin, d_end).
-/// Both schedulers and the dataflow cost model walk exactly this range.
-struct TileDiagRange {
-  std::size_t k_lo = 1;
-  std::size_t k_hi = 0;  // empty when k_lo > k_hi
-};
-
-TileDiagRange tile_diag_range(const TiledRegion& region, std::size_t M) {
-  const std::size_t T = region.tile;
-  TileDiagRange r;
-  if (region.d_begin >= region.d_end) return r;
-  // Last k with k*T < d_end.
-  r.k_hi = std::min(2 * M - 2, (region.d_end - 1) / T);
-  // First k with (k+2)*T - 2 >= d_begin, i.e. (k+2)*T >= d_begin + 2.
-  const std::size_t need = region.d_begin + 2;
-  r.k_lo = need <= 2 * T ? 0 : (need - 2 * T + T - 1) / T;
-  return r;
-}
-
-// Tile rows on a tile-diagonal follow the same algebra as cell rows on a
-// cell diagonal of an MxM grid: core::diag_row_lo / core::diag_row_hi are
-// the single definition (used with dim = M).
-
-/// Computes the cells of tile (I,J) clipped to the region's row window:
-/// ONE indirect call, with the band clamp and the row loop (row-major, so
-/// identical results under either scheduler) inside the lowered dispatch.
+/// Computes the cells of tile (I,J) clipped to the region's row window
+/// and column cap: ONE indirect call, with the band clamp and the row loop
+/// (row-major, so identical results in any tile order) inside the lowered
+/// dispatch.
 void run_tile_cells(const TiledRegion& region, const core::LoweredKernel& kernel,
                     std::byte* storage, std::size_t base_row, std::size_t I, std::size_t J) {
   const std::size_t dim = region.dim;
   const std::size_t T = region.tile;
   const std::size_t row_lo = std::max(I * T, region.row_begin);
   const std::size_t row_hi = std::min({I * T + T, dim, region.row_hi()});  // exclusive
-  kernel.tile_local(storage, base_row, row_lo, row_hi, J * T, std::min(J * T + T, dim),
-                    region.d_begin, region.d_end);
-}
-
-/// Per-tile-diagonal state of the barrier sweep, dispatched through
-/// ThreadPool's raw parallel_for so nothing type-erased is invoked per
-/// tile.
-struct BarrierDiag {
-  const TiledRegion* region;
-  const core::LoweredKernel* kernel;
-  std::byte* storage;
-  std::size_t base_row;
-  std::size_t k;  ///< current tile-diagonal (I + J == k)
-};
-
-/// The barrier scheduler: one blocking parallel_for per tile-diagonal —
-/// the block is the barrier between diagonals.
-void run_barrier(const TiledRegion& region, ThreadPool& pool, const core::LoweredKernel& kernel,
-                 std::byte* storage, std::size_t base_row) {
-  const std::size_t T = region.tile;
-  const std::size_t M = (region.dim + T - 1) / T;  // tiles per side
-  const TileDiagRange range = tile_diag_range(region, M);
-  const std::size_t I_lo = region.row_begin / T;
-  const std::size_t I_last = (region.row_hi() - 1) / T;
-  BarrierDiag ctx{&region, &kernel, storage, base_row, 0};
-  for (std::size_t k = range.k_lo; k <= range.k_hi; ++k) {
-    const std::size_t first = std::max(core::diag_row_lo(M, k), I_lo);
-    const std::size_t last = std::min(core::diag_row_hi(M, k), I_last);
-    if (first > last) continue;
-    ctx.k = k;
-    pool.parallel_for(
-        first, last + 1,
-        [](void* pv, std::size_t I) {
-          const BarrierDiag& c = *static_cast<const BarrierDiag*>(pv);
-          run_tile_cells(*c.region, *c.kernel, c.storage, c.base_row, I, c.k - I);
-        },
-        &ctx, tile_grain(last - first + 1, T, pool.worker_count()));
-  }
+  const std::size_t col_hi = std::min({J * T + T, dim, region.col_hi()});  // exclusive
+  kernel.tile_local(storage, base_row, row_lo, row_hi, J * T, col_hi, region.d_begin,
+                    region.d_end);
 }
 
 /// Shared state of one dataflow run. Lives on the caller's stack: the
@@ -95,21 +36,20 @@ void run_barrier(const TiledRegion& region, ThreadPool& pool, const core::Lowere
 /// no ready successor — every other tile already completed — so it
 /// touches nothing of the state after the notify).
 struct DataflowState {
-  const TiledRegion* region = nullptr;
+  explicit DataflowState(const TiledRegion& r) : region(&r), w(r) {}
+
+  const TiledRegion* region;
+  /// The tile set (band, row window, column cap): tiles outside it are not
+  /// in the dep graph at all.
+  TileWindow w;
   ThreadPool* pool = nullptr;
   /// Tile dispatch: one indirect call per tile over `storage`, full-grid
   /// or a row window starting at `base_row`.
   const core::LoweredKernel* lowered = nullptr;
   std::byte* storage = nullptr;
   std::size_t base_row = 0;  ///< first grid row `storage` holds
-  std::size_t M = 0;  ///< tiles per side
-  TileDiagRange range;
-  /// Tile-row window [I_lo, I_hi) of the region's row window: tiles whose
-  /// rows fall entirely outside the strip are not in the dep graph at all.
-  std::size_t I_lo = 0;
-  std::size_t I_hi = 0;
-  /// deps is sized to exactly the in-range tiles (not M*M): diag_offset[d]
-  /// is the index of the first tile of tile-diagonal range.k_lo + d, and a
+  /// deps is sized to exactly the in-set tiles (not M*M): diag_offset[d]
+  /// is the index of the first tile of tile-diagonal w.k_lo + d, and a
   /// tile's slot is its offset within its diagonal. Keeps narrow band
   /// slices (phase-3 regions, tiny tiles) from paying an O(M^2)
   /// allocate-and-zero per run.
@@ -142,22 +82,10 @@ struct DataflowState {
     done_cv.wait(lock, [this] { return done; });
   }
 
-  bool in_set(std::size_t I, std::size_t J) const {
-    if (I >= M || J >= M) return false;
-    if (I < I_lo || I >= I_hi) return false;
-    const std::size_t k = I + J;
-    return k >= range.k_lo && k <= range.k_hi;
-  }
-
-  /// First in-set tile row of tile-diagonal k (row window clamped).
-  std::size_t first_row(std::size_t k) const {
-    return std::max(core::diag_row_lo(M, k), I_lo);
-  }
-
   /// Flat deps slot of in-set tile (I,J).
   std::size_t dep_index(std::size_t I, std::size_t J) const {
     const std::size_t k = I + J;
-    return diag_offset[k - range.k_lo] + (I - first_row(k));
+    return diag_offset[k - w.k_lo] + (I - w.first_row(k));
   }
 
   /// Computes the cells of tile (I,J).
@@ -170,7 +98,7 @@ struct DataflowState {
   /// the worker whose decrement reaches zero has acquired every other
   /// producer's release, so the tile reads fully-written neighbour cells.
   bool release_dep(std::size_t I, std::size_t J) {
-    if (!in_set(I, J)) return false;
+    if (!w.contains(I, J)) return false;
     return deps[dep_index(I, J)].fetch_sub(1, std::memory_order_acq_rel) == 1;
   }
 
@@ -203,7 +131,7 @@ struct DataflowState {
         // for an idle worker to steal. The closure packs the tile into
         // one index so it fits std::function's small-buffer storage.
         DataflowState* self = this;
-        const std::size_t idx = (I + 1) * M + J;
+        const std::size_t idx = (I + 1) * w.M + J;
         try {
           fault::check(fault::Site::kDataflowSpawn);
           pool->submit_local([self, idx] {
@@ -216,7 +144,7 @@ struct DataflowState {
             } catch (...) {
               self->record_error();
             }
-            self->run_tile(idx / self->M, idx % self->M);
+            self->run_tile(idx / self->w.M, idx % self->w.M);
           });
         } catch (...) {
           // Queueing failed (allocation, pool stopping, injected spawn
@@ -240,44 +168,32 @@ struct DataflowState {
 };
 
 /// In-order inline sweep for degenerate cases (single worker, or so few
-/// tiles that scheduling can't pay): same tile order as the barriered
-/// path's serial fallback.
-void run_inline(DataflowState& state) {
-  const TileDiagRange& range = state.range;
-  for (std::size_t k = range.k_lo; k <= range.k_hi; ++k) {
-    const std::size_t i_hi = std::min(core::diag_row_hi(state.M, k), state.I_hi - 1);
-    for (std::size_t I = state.first_row(k); I <= i_hi; ++I) {
-      state.execute(I, k - I);
-    }
+/// tiles that scheduling can't pay): tile-diagonal by tile-diagonal.
+void run_inline(const DataflowState& state) {
+  const TileWindow& w = state.w;
+  for (std::size_t k = w.k_lo; k <= w.k_hi; ++k) {
+    for (std::size_t I = w.first_row(k); I <= w.last_row(k); ++I) state.execute(I, k - I);
   }
 }
 
-/// The dataflow scheduler.
+/// The dataflow sweep over a validated, non-empty region.
 void run_dataflow(const TiledRegion& region, ThreadPool& pool, const core::LoweredKernel& kernel,
                   std::byte* storage, std::size_t base_row) {
-  const std::size_t T = region.tile;
-  const std::size_t M = (region.dim + T - 1) / T;
-  const TileDiagRange range = tile_diag_range(region, M);
-  if (range.k_lo > range.k_hi) return;
-
-  DataflowState state;
+  DataflowState state(region);
+  const TileWindow& w = state.w;
+  if (w.k_lo > w.k_hi) return;
   state.lowered = &kernel;
   state.storage = storage;
   state.base_row = base_row;
-  state.region = &region;
   state.pool = &pool;
-  state.M = M;
-  state.range = range;
-  state.I_lo = region.row_begin / T;
-  state.I_hi = (region.row_hi() + T - 1) / T;
 
   std::vector<std::size_t> diag_offset;
-  diag_offset.reserve(range.k_hi - range.k_lo + 1);
+  diag_offset.reserve(w.k_hi - w.k_lo + 1);
   std::size_t n_tiles = 0;
-  for (std::size_t k = range.k_lo; k <= range.k_hi; ++k) {
+  for (std::size_t k = w.k_lo; k <= w.k_hi; ++k) {
     diag_offset.push_back(n_tiles);
-    const std::size_t i_lo = state.first_row(k);
-    const std::size_t i_hi = std::min(core::diag_row_hi(M, k), state.I_hi - 1);
+    const std::size_t i_lo = w.first_row(k);
+    const std::size_t i_hi = w.last_row(k);
     if (i_lo <= i_hi) n_tiles += i_hi - i_lo + 1;
   }
   if (n_tiles == 0) return;
@@ -286,23 +202,22 @@ void run_dataflow(const TiledRegion& region, ThreadPool& pool, const core::Lower
     return;
   }
 
+  const std::size_t M = w.M;
   state.diag_offset = std::move(diag_offset);
   state.deps = std::vector<std::atomic<unsigned char>>(n_tiles);
   // Initial ready set: tiles whose in-set gate count is zero. Without a
-  // row window that is exactly the first in-set diagonal; a strip window
-  // can also expose later-diagonal tiles whose north gate was clipped
-  // away (e.g. the window's top row mid-band), so readiness is computed
-  // from the same in_set() the release path uses.
+  // row window or column cap that is exactly the first in-set diagonal; a
+  // window can also expose later-diagonal tiles whose north or west gate
+  // was clipped away (e.g. the window's top row mid-band), so readiness is
+  // computed from the same contains() the release path uses.
   std::vector<std::size_t> ready;
-  for (std::size_t k = range.k_lo; k <= range.k_hi; ++k) {
-    const std::size_t i_hi = std::min(core::diag_row_hi(M, k), state.I_hi - 1);
-    for (std::size_t I = state.first_row(k); I <= i_hi; ++I) {
+  for (std::size_t k = w.k_lo; k <= w.k_hi; ++k) {
+    for (std::size_t I = w.first_row(k); I <= w.last_row(k); ++I) {
       const std::size_t J = k - I;
       // North/west neighbours sit on tile-diagonal k-1; they gate this
-      // tile only when in the scheduled set (band AND row window).
+      // tile only when in the scheduled set.
       const unsigned char d = static_cast<unsigned char>(
-          (I > 0 && state.in_set(I - 1, J) ? 1 : 0) +
-          (J > 0 && state.in_set(I, J - 1) ? 1 : 0));
+          (I > 0 && w.contains(I - 1, J) ? 1 : 0) + (J > 0 && w.contains(I, J - 1) ? 1 : 0));
       state.deps[state.dep_index(I, J)].store(d, std::memory_order_relaxed);
       if (d == 0) ready.push_back(I * M + J);
     }
@@ -322,7 +237,7 @@ void run_dataflow(const TiledRegion& region, ThreadPool& pool, const core::Lower
         } catch (...) {
           sp->record_error();
         }
-        sp->run_tile(idx / sp->M, idx % sp->M);
+        sp->run_tile(idx / sp->w.M, idx % sp->w.M);
       });
     } catch (...) {
       sp->record_error();
@@ -345,24 +260,18 @@ const char* scheduler_name(Scheduler s) {
 double dataflow_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel& cpu,
                                   double tsize_units, std::size_t elem_bytes) {
   region.validate();
-  if (region.d_begin == region.d_end) return 0.0;
-  const std::size_t T = region.tile;
-  const std::size_t M = (region.dim + T - 1) / T;
-  const TileDiagRange range = tile_diag_range(region, M);
-  if (range.k_lo > range.k_hi) return 0.0;
-
-  const std::size_t I_lo = region.row_begin / T;
-  const std::size_t I_hi = (region.row_hi() + T - 1) / T;
+  const TileWindow w(region);
   std::size_t n_tiles = 0;
   std::size_t n_nonempty = 0;
-  for (std::size_t k = range.k_lo; k <= range.k_hi; ++k) {
-    const std::size_t i_lo = std::max(core::diag_row_lo(M, k), I_lo);
-    const std::size_t i_hi = std::min(core::diag_row_hi(M, k), I_hi - 1);
+  for (std::size_t k = w.k_lo; k <= w.k_hi; ++k) {
+    const std::size_t i_lo = w.first_row(k);
+    const std::size_t i_hi = w.last_row(k);
     if (i_lo > i_hi) continue;
     n_tiles += i_hi - i_lo + 1;
     ++n_nonempty;
   }
   if (n_tiles == 0) return 0.0;
+  const std::size_t T = region.tile;
   // Per tile: T^2 elements, one lowered-kernel dispatch, and the
   // dependency-counter bookkeeping (what a tile pays instead of
   // tile_sched_ns + its share of barrier_ns).
@@ -379,18 +288,14 @@ double dataflow_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel
   return std::max(critical, work);
 }
 
-void run_wavefront(Scheduler s, const TiledRegion& region, ThreadPool& pool,
+void run_wavefront(const TiledRegion& region, ThreadPool& pool,
                    const core::LoweredKernel& kernel, std::byte* storage, std::size_t base_row) {
   if (base_row > 0 && base_row >= region.row_begin) {
     throw std::invalid_argument("run_wavefront: row window starts at or above base_row");
   }
   region.validate();
   if (region.d_begin == region.d_end) return;
-  if (s == Scheduler::kDataflow) {
-    run_dataflow(region, pool, kernel, storage, base_row);
-  } else {
-    run_barrier(region, pool, kernel, storage, base_row);
-  }
+  run_dataflow(region, pool, kernel, storage, base_row);
 }
 
 double wavefront_cost_ns(Scheduler s, const TiledRegion& region, const sim::CpuModel& cpu,

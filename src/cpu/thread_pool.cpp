@@ -1,6 +1,5 @@
 #include "cpu/thread_pool.hpp"
 
-#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -172,99 +171,6 @@ void ThreadPool::drain() {
     return queued_.load(std::memory_order_acquire) == 0 &&
            active_.load(std::memory_order_acquire) == 0;
   });
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn, std::size_t grain) {
-  // Trampoline onto the raw variant: one type-erased call per index is
-  // exactly what this overload's contract always cost.
-  parallel_for(
-      begin, end,
-      [](void* ctx, std::size_t i) {
-        (*static_cast<const std::function<void(std::size_t)>*>(ctx))(i);
-      },
-      const_cast<std::function<void(std::size_t)>*>(&fn), grain);
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end, ForFn fn, void* ctx,
-                              std::size_t grain) {
-  if (begin >= end) return;
-  if (grain == 0) grain = 1;
-  const std::size_t n = end - begin;
-  const std::size_t workers = worker_count();
-  if (workers <= 1 || n <= grain) {
-    for (std::size_t i = begin; i < end; ++i) fn(ctx, i);
-    return;
-  }
-
-  // Dynamic chunking via a shared cursor: balances uneven per-iteration
-  // cost (border tiles are smaller than interior tiles) without a
-  // per-iteration mutex; `grain` indices are claimed per atomic RMW. All
-  // shared state lives on this stack frame — parallel_for blocks on the
-  // latch until every helper is done with it, and the final count_down
-  // completes under the latch mutex, so the frame strictly outlives all
-  // uses.
-  struct ForState {
-    std::atomic<std::size_t> next;
-    std::size_t end;
-    std::size_t grain;
-    ForFn fn;
-    void* ctx;
-    std::exception_ptr error;
-    std::mutex error_mutex;
-    CompletionLatch latch;
-
-    void run() {
-      for (;;) {
-        const std::size_t chunk = next.fetch_add(grain, std::memory_order_relaxed);
-        if (chunk >= end) break;
-        const std::size_t chunk_end = std::min(end, chunk + grain);
-        try {
-          for (std::size_t i = chunk; i < chunk_end; ++i) fn(ctx, i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!error) error = std::current_exception();
-        }
-      }
-      latch.count_down();
-    }
-  };
-  ForState state;
-  state.next.store(begin);
-  state.end = end;
-  state.grain = grain;
-  state.fn = fn;
-  state.ctx = ctx;
-  const std::size_t chunks = (n + grain - 1) / grain;
-  const std::size_t tasks = std::min(workers, chunks);
-  state.latch.reset(tasks);
-
-  // The caller participates as one of the workers so a single-threaded
-  // environment still makes progress while tasks sit in the queue. The
-  // submitted closure captures one pointer, which fits std::function's
-  // small-buffer storage — no allocation per helper.
-  ForState* sp = &state;
-  std::size_t submitted = 0;
-  try {
-    for (std::size_t t = 1; t < tasks; ++t) {
-      submit([sp] { sp->run(); });
-      ++submitted;
-    }
-  } catch (...) {
-    // submit() failed (allocation, pool stopping): the already-queued
-    // helpers hold a pointer to this frame, so cancel the unclaimed
-    // chunks, stand in for the helpers that never got queued, and drain
-    // the queued ones before letting the exception unwind the frame.
-    state.next.store(end, std::memory_order_relaxed);
-    for (std::size_t t = submitted + 1; t < tasks; ++t) state.latch.count_down();
-    state.run();
-    state.latch.wait();
-    throw;
-  }
-  state.run();
-
-  state.latch.wait();
-  if (state.error) std::rethrow_exception(state.error);
 }
 
 }  // namespace wavetune::cpu

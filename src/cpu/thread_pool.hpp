@@ -1,17 +1,13 @@
-// Work-stealing thread pool with a blocking parallel_for.
+// Work-stealing thread pool.
 //
 // Each worker owns a deque: it pushes and pops follow-up work at the
 // bottom (LIFO, so a producer's freshly-written data is consumed while
 // still cache-hot) and idle workers steal from the top (FIFO, so the
 // oldest — usually largest — pending work migrates). A global injection
 // queue receives tasks submitted from outside the pool. This is the
-// substrate of both scheduling disciplines the CPU phases use:
-//
-//   * parallel_for: data-parallel range with a barrier at the end (the
-//     paper's per-tile-diagonal sweep);
-//   * the dataflow tile scheduler (cpu/dataflow_wavefront.hpp): tasks
-//     spawn their successors with submit_local and idle workers steal,
-//     with no barrier anywhere.
+// substrate of the dataflow tile sweep (cpu/dataflow_wavefront.hpp):
+// tasks spawn their successors with submit_local, idle workers steal, and
+// the thread that started the sweep helps through try_run_one.
 //
 // The pool is created once per executor and reused across phases,
 // mirroring the paper's "threads to control CPU phases".
@@ -30,38 +26,6 @@
 
 namespace wavetune::cpu {
 
-/// Minimal reusable completion latch. Lives on the caller's stack for the
-/// duration of one parallel_for (no heap allocation per call): the final
-/// count_down happens entirely under the latch mutex, so once wait()
-/// returns no other thread can still be touching the latch and the caller
-/// may safely destroy it.
-class CompletionLatch {
-public:
-  explicit CompletionLatch(std::size_t count = 0) : remaining_(count) {}
-
-  /// Re-arms the latch for `count` completions. Only valid when no thread
-  /// is waiting or counting down.
-  void reset(std::size_t count) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    remaining_ = count;
-  }
-
-  void count_down() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (remaining_ > 0 && --remaining_ == 0) cv_.notify_all();
-  }
-
-  void wait() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return remaining_ == 0; });
-  }
-
-private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::size_t remaining_;
-};
-
 class ThreadPool {
 public:
   /// Spawns `workers` threads; 0 picks std::thread::hardware_concurrency()
@@ -73,31 +37,6 @@ public:
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t worker_count() const { return workers_.size(); }
-
-  /// Runs fn(i) for i in [begin, end) across the pool and blocks until all
-  /// iterations finish. Exceptions from fn propagate to the caller (first
-  /// one wins). Executes inline when the range is tiny or the pool has a
-  /// single worker.
-  ///
-  /// `grain` batches the dynamic scheduling: workers claim runs of `grain`
-  /// consecutive indices per atomic fetch_add, so ranges of many cheap
-  /// iterations (e.g. tile-diagonals with many small tiles) don't pay one
-  /// atomic RMW per iteration. grain == 0 is treated as 1. Completion is
-  /// tracked by a stack-allocated CompletionLatch — no per-call heap
-  /// allocation.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& fn, std::size_t grain = 1);
-
-  /// Raw per-index callback: a plain function pointer + context.
-  using ForFn = void (*)(void* ctx, std::size_t i);
-
-  /// Like parallel_for above, but nothing type-erased is invoked per
-  /// index — the per-iteration cost is one indirect call. This is the
-  /// variant the lowered-kernel hot loops use (the std::function overload
-  /// wraps onto it). Helper TASKS are still std::function (one per
-  /// participating worker, not per index).
-  void parallel_for(std::size_t begin, std::size_t end, ForFn fn, void* ctx,
-                    std::size_t grain = 1);
 
   /// Fire-and-forget task submission onto the global injection queue.
   /// Tasks must not throw (the schedulers built on top catch internally

@@ -9,7 +9,7 @@ namespace wavetune::cpu {
 
 std::size_t TiledRegion::cell_count() const {
   // core/diag.hpp is the single source of the diagonal-length algebra.
-  return core::cells_in_rows(dim, d_begin, d_end, row_begin, row_hi());
+  return core::cells_in_rect(d_begin, d_end, row_begin, row_hi(), 0, col_hi());
 }
 
 void TiledRegion::validate() const {
@@ -19,37 +19,21 @@ void TiledRegion::validate() const {
   if (d_end > 2 * dim - 1) throw std::invalid_argument("TiledRegion: d_end beyond last diagonal");
   if (row_end > dim) throw std::invalid_argument("TiledRegion: row_end beyond the grid");
   if (row_begin >= row_hi()) throw std::invalid_argument("TiledRegion: empty row window");
+  if (col_end > dim) throw std::invalid_argument("TiledRegion: col_end beyond the grid");
 }
 
-std::size_t tile_grain(std::size_t n_tiles, std::size_t tile, std::size_t workers) {
-  // Calibrated for one-call-per-tile lowered dispatch. Two thresholds:
-  //
-  //  * kInlineCells: farming a tile-diagonal out to the pool costs
-  //    helper submissions plus a CV wakeup/sleep cycle per helper
-  //    (microseconds). A diagonal whose ENTIRE work is below this many
-  //    cells (~a microsecond at ns-scale kernels) finishes faster on the
-  //    calling thread than the wakeup alone would take — returning the
-  //    full range as one grain makes parallel_for run it inline with
-  //    zero pool traffic. Pre-lowering, each tile also paid T
-  //    type-erased calls that dwarfed this accounting; with one indirect
-  //    call per tile the scheduling machinery IS the overhead. The
-  //    threshold is cell-count-based (tile_grain sees no kernel cost),
-  //    so it deliberately stays small: for an expensive kernel the worst
-  //    case is one claim's worth of work serialized, the same exposure
-  //    the per-claim batching below always had.
-  //  * kMinCellsPerClaim: once the pool is engaged, each claim costs one
-  //    contended atomic RMW; ~512 cells of work per claim keeps that
-  //    under a few percent.
-  constexpr std::size_t kInlineCells = 1024;
-  constexpr std::size_t kMinCellsPerClaim = 512;
-  const std::size_t per_tile = tile * tile;
-  if (workers == 0) return 1;
-  if (per_tile < kInlineCells && n_tiles <= kInlineCells / per_tile) return n_tiles;
-  if (per_tile >= kMinCellsPerClaim) return 1;
-  const std::size_t want = (kMinCellsPerClaim + per_tile - 1) / per_tile;
-  // Never batch so hard that the diagonal stops feeding every worker.
-  const std::size_t fair = std::max<std::size_t>(1, n_tiles / (2 * workers));
-  return std::min(want, fair);
+TileWindow::TileWindow(const TiledRegion& region) {
+  const std::size_t T = region.tile;
+  M = (region.dim + T - 1) / T;
+  I_lo = region.row_begin / T;
+  I_hi = (region.row_hi() + T - 1) / T;
+  J_hi = (region.col_hi() + T - 1) / T;
+  if (region.d_begin >= region.d_end) return;  // empty: k_lo > k_hi
+  // Tile-diagonal k spans the global diagonals [k*T, (k+2)*T - 2]. Last k
+  // with k*T < d_end; first k with (k+2)*T - 2 >= d_begin.
+  k_hi = std::min(2 * M - 2, (region.d_end - 1) / T);
+  const std::size_t need = region.d_begin + 2;
+  k_lo = need <= 2 * T ? 0 : (need - 2 * T + T - 1) / T;
 }
 
 void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& kernel,
@@ -64,16 +48,14 @@ void run_serial_wavefront(const TiledRegion& region, const core::LoweredKernel& 
       std::max(core::diag_row_lo(region.dim, region.d_begin), region.row_begin);
   const std::size_t i_last = region.row_hi();
   if (i_first >= i_last) return;
-  kernel.tile(storage, i_first, i_last, 0, region.dim, region.d_begin, region.d_end);
+  kernel.tile(storage, i_first, i_last, 0, region.col_hi(), region.d_begin, region.d_end);
 }
 
 double tiled_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel& cpu,
                                double tsize_units, std::size_t elem_bytes) {
   region.validate();
-  if (region.d_begin == region.d_end) return 0.0;
-  const std::size_t dim = region.dim;
+  const TileWindow w(region);
   const std::size_t T = region.tile;
-  const std::size_t M = (dim + T - 1) / T;
   const double P = cpu.effective_parallelism();
   // Per tile: T^2 elements, one lowered-kernel dispatch, and the
   // scheduler's claim/enqueue overhead.
@@ -82,17 +64,11 @@ double tiled_wavefront_cost_ns(const TiledRegion& region, const sim::CpuModel& c
                            cpu.kernel_dispatch_ns + cpu.tile_sched_ns;
 
   double total = 0.0;
-  for (std::size_t k = 0; k < 2 * M - 1; ++k) {
-    const std::size_t span_lo = k * T;
-    const std::size_t span_hi = (k + 2) * T - 2;
-    if (span_lo >= region.d_end || span_hi < region.d_begin) continue;
-    // Tiles on tile-diagonal k: the cell-diagonal row algebra of an MxM
-    // grid (core/diag.hpp), clamped to the region's row window.
-    const std::size_t first = std::max(core::diag_row_lo(M, k), region.row_begin / T);
-    const std::size_t last = std::min(core::diag_row_hi(M, k), (region.row_hi() - 1) / T);
+  for (std::size_t k = w.k_lo; k <= w.k_hi; ++k) {
+    const std::size_t first = w.first_row(k);
+    const std::size_t last = w.last_row(k);
     if (first > last) continue;
-    const std::size_t n_k = last - first + 1;
-    const double slots = std::max(1.0, static_cast<double>(n_k) / P);
+    const double slots = std::max(1.0, static_cast<double>(last - first + 1) / P);
     total += slots * tile_cost + cpu.barrier_ns;
   }
   return total;

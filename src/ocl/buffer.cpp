@@ -1,6 +1,5 @@
 #include "ocl/buffer.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace wavetune::ocl {
@@ -19,7 +18,5 @@ void Buffer::read(std::size_t offset, void* dst, std::size_t n) const {
   if (n == 0) return;
   std::memcpy(dst, storage_.data() + offset, n);
 }
-
-void Buffer::fill(std::byte value) { std::fill(storage_.begin(), storage_.end(), value); }
 
 }  // namespace wavetune::ocl

@@ -6,10 +6,11 @@
 // wrong values, not just wrong timings.
 //
 // Every Buffer also participates in process-wide residency accounting:
-// live_bytes() is the sum of all live buffers' sizes and peak_bytes() the
-// high-water mark since the last reset_peak(). The streaming-strip tests
-// assert through these counters that an out-of-core run's device
-// footprint stays at O(strip_rows x dim) instead of O(dim^2).
+// live_bytes() is the sum of all live buffers' sizes (bytes in use, not
+// capacity: a pooled buffer reset to size 0 counts nothing while idle)
+// and peak_bytes() the high-water mark since the last reset_peak(). The
+// streaming-strip tests assert through these counters that an out-of-core
+// run's device footprint stays at O(strip_rows x dim) instead of O(dim^2).
 #pragma once
 
 #include <atomic>
@@ -53,6 +54,17 @@ public:
 
   std::size_t size() const { return storage_.size(); }
   bool empty() const { return storage_.empty(); }
+  /// Bytes the buffer can hold without reallocating.
+  std::size_t capacity() const { return storage_.capacity(); }
+
+  /// Resizes to `bytes`, every byte set to `value`, reusing the capacity
+  /// already held: a pooled buffer is re-poisoned without reallocating,
+  /// and reset(0) idles it at zero live bytes while keeping its capacity.
+  void reset(std::size_t bytes, std::byte value = std::byte{0}) {
+    const std::size_t old = storage_.size();
+    storage_.assign(bytes, value);
+    account(old, storage_.size());
+  }
 
   std::byte* data() { return storage_.data(); }
   const std::byte* data() const { return storage_.data(); }
@@ -63,11 +75,6 @@ public:
   /// Host-side memcpy helpers with bounds checking (throw std::out_of_range).
   void write(std::size_t offset, const void* src, std::size_t n);
   void read(std::size_t offset, void* dst, std::size_t n) const;
-
-  /// Fills the buffer with a byte value (debugging aid; devices in the real
-  /// world do not zero memory for you, and neither does this one by default
-  /// beyond vector initialisation).
-  void fill(std::byte value);
 
   /// Process-wide residency accounting across ALL live Buffers.
   static std::size_t live_bytes() { return live_.load(std::memory_order_relaxed); }

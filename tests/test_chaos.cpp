@@ -404,9 +404,10 @@ TEST(Chaos, FaultsInsideDataflowJobsHoldTheInvariants) {
 // The same dataflow spawn/steal sites, fired inside GPU phases: a
 // single-GPU phase and every strip of a streamed one run their cells as
 // one dataflow sweep on the executor's pool, and the dual-GPU split runs
-// its devices as pool tasks. Jobs of all three plans interleave on one
-// engine; every future must resolve, the counters must conserve, and
-// every completed grid must be bit-identical to the serial reference.
+// each device's halo epochs as sweeps too. Jobs of all three plans
+// interleave on one engine; every future must resolve, the counters must
+// conserve, and every completed grid must be bit-identical to the serial
+// reference.
 TEST(Chaos, FaultsInsideGpuPhaseSweepsHoldTheInvariants) {
   // Big enough for several host tiles per GPU sweep (16-cell tiles), so
   // the dataflow scheduler spawns and steals instead of running inline.
@@ -479,6 +480,99 @@ TEST(Chaos, FaultsInsideGpuPhaseSweepsHoldTheInvariants) {
       ASSERT_TRUE(futures[i].valid());
       ASSERT_EQ(futures[i].wait_for(0s), std::future_status::ready)
           << "a GPU-phase job's future is unresolved after shutdown";
+      try {
+        (void)futures[i].get();
+        ++completed;
+        ASSERT_EQ(std::memcmp(grids[i].data(), reference.data(), reference.size_bytes()), 0)
+            << "job " << i << " (plan " << i % plans.size() << ") completed with a wrong grid";
+      } catch (const fault::InjectedError& e) {
+        EXPECT_TRUE(e.site() == fault::Site::kDataflowSpawn ||
+                    e.site() == fault::Site::kDataflowSteal);
+      }
+    }
+    EXPECT_GT(completed, 0u);
+
+    const EngineStats s = engine.stats();
+    ASSERT_EQ(s.jobs_submitted,
+              s.jobs_completed + s.jobs_failed + s.jobs_timed_out + s.jobs_cancelled);
+    ASSERT_EQ(s.jobs_submitted, futures.size());
+    ASSERT_EQ(s.queue_depth, 0u);
+    spawn_visits = fault::Injector::instance().visits(fault::Site::kDataflowSpawn);
+    steal_injected = fault::Injector::instance().injected(fault::Site::kDataflowSteal);
+  }
+  EXPECT_GT(spawn_visits, 0u);
+  EXPECT_GE(steal_injected, 1u);
+}
+
+// The dataflow spawn/steal sites, fired inside multi-GPU phases only: each
+// plan is one whole-grid multi-GPU phase (2 and 3 devices, maximum halo),
+// at a dim whose halo epochs are large enough to spread over the pool
+// rather than run on the calling thread. Every future must resolve, the
+// counters must conserve, and every completed grid must be bit-identical
+// to the serial reference.
+TEST(Chaos, FaultsInsideMultiGpuEpochsHoldTheInvariants) {
+  apps::SyntheticParams sp;
+  sp.dim = 256;
+  sp.tsize = 10.0;
+  sp.dsize = 1;
+  sp.functional_iters = 1;
+  const core::WavefrontSpec spec = apps::make_synthetic_spec(sp);
+  core::Grid reference(spec.dim, spec.elem_bytes);
+  {
+    EngineOptions ropts;
+    ropts.pool_workers = 1;
+    ropts.queue_workers = 1;
+    ropts.profiling = false;
+    Engine ref_engine(sim::make_i7_2600k(), ropts);
+    ref_engine.run(ref_engine.compile(spec, core::TunableParams{}, kSerialBackend), reference);
+  }
+
+  fault::InjectionPlan fplan;
+  fplan.seed = 0x3E90C5ULL;
+  fplan.at(fault::Site::kDataflowSpawn).probability = 0.01;
+  fplan.at(fault::Site::kDataflowSpawn).severity = fault::Severity::kTransient;
+  fplan.at(fault::Site::kDataflowSteal).countdown = 3;  // guaranteed mid-run fire
+  fplan.at(fault::Site::kDataflowSteal).severity = fault::Severity::kTransient;
+  fault::ScopedInjection arm(fplan);
+
+  std::uint64_t spawn_visits = 0, steal_injected = 0;
+  {
+    EngineOptions opts;
+    opts.pool_workers = 2;
+    opts.queue_workers = 2;
+    opts.queue_capacity = 32;
+    Engine engine(sim::make_i7_2600k(), opts);
+
+    const long long full = static_cast<long long>(spec.dim) - 1;
+    std::vector<Plan> plans;
+    for (const int gpus : {2, 3}) {
+      CompileOptions multi;
+      multi.backend = kHybridBackend;
+      multi.params =
+          core::TunableParams{4, full, core::TunableParams::max_halo_multi(spec.dim, full, gpus), 1};
+      multi.params->gpus = gpus;
+      plans.push_back(engine.compile(spec, multi));
+      ASSERT_EQ(plans.back().program().phases.size(), 1u) << plans.back().program().describe();
+      ASSERT_EQ(plans.back().program().max_gpu_count(), gpus);
+    }
+
+    constexpr std::size_t kJobsPerPlan = 4;
+    std::deque<core::Grid> grids;
+    std::vector<std::future<core::RunResult>> futures;
+    for (std::size_t j = 0; j < kJobsPerPlan * plans.size(); ++j) {
+      core::Grid& g = grids.emplace_back(spec.dim, spec.elem_bytes);
+      g.fill_poison();
+      SubmitOptions so;
+      so.max_retries = j % 2 == 0 ? 0 : 4;  // half without a retry budget
+      futures.push_back(engine.submit(plans[j % plans.size()], g, so).future);
+    }
+    engine.shutdown();
+
+    std::size_t completed = 0;
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      ASSERT_TRUE(futures[i].valid());
+      ASSERT_EQ(futures[i].wait_for(0s), std::future_status::ready)
+          << "a multi-GPU job's future is unresolved after shutdown";
       try {
         (void)futures[i].get();
         ++completed;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -91,7 +92,7 @@ Cells serial_reference(const TiledRegion& region) {
 
 /// One dataflow sweep of `region` with the native mix kernel.
 void run_mix(const TiledRegion& region, ThreadPool& pool, Cells& v) {
-  run_wavefront(Scheduler::kDataflow, region, pool, mix_lowered(region.dim), bytes(v));
+  run_wavefront(region, pool, mix_lowered(region.dim), bytes(v));
 }
 
 // Property: dataflow result is bit-identical to the serial reference for
@@ -108,7 +109,7 @@ TEST_P(DataflowEqualsSerial, FullGrid) {
   ThreadPool pool(4);
   for (const core::LoweredKernel& kernel : {mix_lowered(dim), mix_cell_lowered(dim)}) {
     Cells got(dim * dim, 0);
-    run_wavefront(Scheduler::kDataflow, region, pool, kernel, bytes(got));
+    run_wavefront(region, pool, kernel, bytes(got));
     EXPECT_EQ(ref, got) << (kernel.native ? "tile rung" : "cell rung");
   }
 }
@@ -168,7 +169,7 @@ TEST(DataflowWavefront, VisitsEachCellExactlyOnce) {
       [&](std::size_t i, std::size_t j, const std::byte*, const std::byte*, const std::byte*,
           std::byte*) { hits[i * dim + j].fetch_add(1); });
   std::vector<std::byte> storage(dim * dim);
-  run_wavefront(Scheduler::kDataflow, TiledRegion{dim, 3, 20, 4}, pool, count, storage.data());
+  run_wavefront(TiledRegion{dim, 3, 20, 4}, pool, count, storage.data());
   for (std::size_t i = 0; i < dim; ++i) {
     for (std::size_t j = 0; j < dim; ++j) {
       const int expected = (i + j >= 3 && i + j < 20) ? 1 : 0;
@@ -208,7 +209,7 @@ TEST(DataflowWavefront, ExceptionFromStolenTilePropagates) {
         if (i >= dim / 2) throw std::runtime_error("boom");
       });
   std::vector<std::byte> storage(dim * dim);
-  EXPECT_THROW(run_wavefront(Scheduler::kDataflow, region, pool, throwing, storage.data()),
+  EXPECT_THROW(run_wavefront(region, pool, throwing, storage.data()),
                std::runtime_error);
   EXPECT_GT(calls.load(), 0);
   // Pool reusable: a clean run still matches the reference.
@@ -228,46 +229,43 @@ TEST(DataflowWavefront, SingleWorkerPoolRunsInline) {
   EXPECT_EQ(ref, got);
 }
 
-// The strip-local entry, under both schedulers: a row-window buffer
-// holding only grid rows [base_row, r1) must reproduce the full-grid
-// run's rows [r0, r1), for full and banded regions, with one worker
-// (inline sweep) and four. Each buffer is an exactly-sized heap block, so
-// under ASan any read before `base` — the north row of the window's first
-// row lies at base, never before it — is a reported heap-buffer-overflow.
+// The strip-local entry: a row-window buffer holding only grid rows
+// [base_row, r1) must reproduce the full-grid run's rows [r0, r1), for
+// full and banded regions, with one worker (inline sweep) and four. Each
+// buffer is an exactly-sized heap block, so under ASan any read before
+// `base` — the north row of the window's first row lies at base, never
+// before it — is a reported heap-buffer-overflow.
 TEST(DataflowWavefront, RowWindowBufferMatchesFullGridRows) {
   constexpr std::uint64_t kPoison = 0xDEADBEEFDEADBEEFull;
   const std::size_t dim = 37;
   const std::size_t total = 2 * dim - 1;
   const core::LoweredKernel kernel = mix_lowered(dim);
   const Cells ref = serial_reference(TiledRegion{dim, 0, total, 1});
-  for (const Scheduler sched : {Scheduler::kBarrier, Scheduler::kDataflow}) {
-    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-      ThreadPool pool(workers);
-      for (const std::size_t tile : {std::size_t{4}, std::size_t{16}}) {
-        for (const auto& [r0, r1] : {std::pair<std::size_t, std::size_t>{0, 12},
-                                    std::pair<std::size_t, std::size_t>{10, 23},
-                                    std::pair<std::size_t, std::size_t>{30, 37}}) {
-          for (const auto& [d0, d1] : {std::pair<std::size_t, std::size_t>{0, total},
-                                      std::pair<std::size_t, std::size_t>{15, 50}}) {
-            const std::size_t base_row = r0 == 0 ? 0 : r0 - 1;
-            // Stage what the band needs: the halo row and every cell of
-            // the window outside the band; the band cells start as poison.
-            Cells buf((r1 - base_row) * dim, kPoison);
-            for (std::size_t i = base_row; i < r1; ++i) {
-              for (std::size_t j = 0; j < dim; ++j) {
-                const bool in_band = i >= r0 && i + j >= d0 && i + j < d1;
-                if (!in_band) buf[(i - base_row) * dim + j] = ref[i * dim + j];
-              }
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(workers);
+    for (const std::size_t tile : {std::size_t{4}, std::size_t{16}}) {
+      for (const auto& [r0, r1] : {std::pair<std::size_t, std::size_t>{0, 12},
+                                  std::pair<std::size_t, std::size_t>{10, 23},
+                                  std::pair<std::size_t, std::size_t>{30, 37}}) {
+        for (const auto& [d0, d1] : {std::pair<std::size_t, std::size_t>{0, total},
+                                    std::pair<std::size_t, std::size_t>{15, 50}}) {
+          const std::size_t base_row = r0 == 0 ? 0 : r0 - 1;
+          // Stage what the band needs: the halo row and every cell of the
+          // window outside the band; the band cells start as poison.
+          Cells buf((r1 - base_row) * dim, kPoison);
+          for (std::size_t i = base_row; i < r1; ++i) {
+            for (std::size_t j = 0; j < dim; ++j) {
+              const bool in_band = i >= r0 && i + j >= d0 && i + j < d1;
+              if (!in_band) buf[(i - base_row) * dim + j] = ref[i * dim + j];
             }
-            run_wavefront(sched, TiledRegion{dim, d0, d1, tile, r0, r1}, pool, kernel,
-                          bytes(buf), base_row);
-            for (std::size_t i = base_row; i < r1; ++i) {
-              for (std::size_t j = 0; j < dim; ++j) {
-                ASSERT_EQ(buf[(i - base_row) * dim + j], ref[i * dim + j])
-                    << scheduler_name(sched) << " workers=" << workers << " tile=" << tile
-                    << " rows=[" << r0 << "," << r1 << ") d=[" << d0 << "," << d1 << ") cell "
-                    << i << "," << j;
-              }
+          }
+          run_wavefront(TiledRegion{dim, d0, d1, tile, r0, r1}, pool, kernel, bytes(buf),
+                        base_row);
+          for (std::size_t i = base_row; i < r1; ++i) {
+            for (std::size_t j = 0; j < dim; ++j) {
+              ASSERT_EQ(buf[(i - base_row) * dim + j], ref[i * dim + j])
+                  << "workers=" << workers << " tile=" << tile << " rows=[" << r0 << "," << r1
+                  << ") d=[" << d0 << "," << d1 << ") cell " << i << "," << j;
             }
           }
         }
@@ -282,14 +280,12 @@ TEST(DataflowWavefront, RowWindowMustStartBelowTheBufferBase) {
   const core::LoweredKernel kernel = mix_lowered(dim);
   Cells buf(dim * dim, 0);
   // Window starting AT the base row: its north row would lie before base.
-  for (const Scheduler sched : {Scheduler::kBarrier, Scheduler::kDataflow}) {
-    EXPECT_THROW(run_wavefront(sched, TiledRegion{dim, 0, 2 * dim - 1, 4, 5, 9}, pool, kernel,
-                               bytes(buf), 5),
-                 std::invalid_argument);
-    EXPECT_THROW(run_wavefront(sched, TiledRegion{dim, 0, 2 * dim - 1, 4, 5, 9}, pool, kernel,
-                               bytes(buf), 7),
-                 std::invalid_argument);
-  }
+  EXPECT_THROW(run_wavefront(TiledRegion{dim, 0, 2 * dim - 1, 4, 5, 9}, pool, kernel,
+                             bytes(buf), 5),
+               std::invalid_argument);
+  EXPECT_THROW(run_wavefront(TiledRegion{dim, 0, 2 * dim - 1, 4, 5, 9}, pool, kernel,
+                             bytes(buf), 7),
+               std::invalid_argument);
 }
 
 TEST(DataflowWavefront, SchedulerNames) {
@@ -297,16 +293,98 @@ TEST(DataflowWavefront, SchedulerNames) {
   EXPECT_STREQ(scheduler_name(Scheduler::kDataflow), "dataflow");
 }
 
-TEST(DataflowWavefront, DispatcherSelectsScheduler) {
-  ThreadPool pool(2);
-  const std::size_t dim = 17;
-  const TiledRegion region{dim, 0, 2 * dim - 1, 4};
-  const Cells ref = serial_reference(region);
-  for (Scheduler s : {Scheduler::kBarrier, Scheduler::kDataflow}) {
-    Cells got(dim * dim, 0);
-    run_wavefront(s, region, pool, mix_cell_lowered(dim), bytes(got));
-    EXPECT_EQ(ref, got) << scheduler_name(s);
+// --- column-capped regions (multi-GPU halo epochs) ------------------------
+
+/// The cells of `r`, counted one by one.
+std::size_t brute_cell_count(const TiledRegion& r) {
+  std::size_t n = 0;
+  for (std::size_t i = r.row_begin; i < r.row_hi(); ++i) {
+    for (std::size_t j = 0; j < r.col_hi(); ++j) n += i + j >= r.d_begin && i + j < r.d_end;
   }
+  return n;
+}
+
+/// A random region of a dim x dim grid: band, row window and column cap.
+TiledRegion random_capped_region(std::size_t dim, std::size_t tile, std::uint64_t& state) {
+  auto next = [&state](std::size_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::size_t>((state >> 33) % bound);
+  };
+  const std::size_t total = 2 * dim - 1;
+  TiledRegion r{dim, next(total + 1), 0, tile};
+  r.d_end = r.d_begin + next(total - r.d_begin + 1);
+  r.row_begin = next(dim);
+  r.row_end = r.row_begin + 1 + next(dim - r.row_begin);
+  r.col_end = next(dim + 1);  // 0 = no cap
+  return r;
+}
+
+// Property: a region clipped to a row window and a column cap computes
+// exactly its own cells, each exactly once, with the values of a
+// full-grid serial sweep — through run_wavefront at 1, 2 and 4 workers
+// and through run_serial_wavefront. Cells outside the region hold the
+// reference values before the sweep and must be left untouched; the
+// region's own cells start as poison. cell_count() agrees with a
+// cell-by-cell count.
+TEST(DataflowWavefront, ColumnCappedRegionsMatchSerial) {
+  constexpr std::uint64_t kPoison = 0xDEADBEEFDEADBEEFull;
+  const std::size_t dim = 41;
+  const Cells ref = serial_reference(TiledRegion{dim, 0, 2 * dim - 1, 1});
+  const core::LoweredKernel kernel = mix_lowered(dim);
+  std::uint64_t state = 0x5EEDu;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    ThreadPool pool(workers);
+    for (int trial = 0; trial < 60; ++trial) {
+      const std::size_t tile = 1 + static_cast<std::size_t>(trial) % 16;
+      const TiledRegion r = random_capped_region(dim, tile, state);
+      const std::string what = "workers=" + std::to_string(workers) + " tile=" +
+                               std::to_string(tile) + " d=[" + std::to_string(r.d_begin) + "," +
+                               std::to_string(r.d_end) + ") rows=[" +
+                               std::to_string(r.row_begin) + "," + std::to_string(r.row_hi()) +
+                               ") cols<" + std::to_string(r.col_hi());
+      ASSERT_EQ(r.cell_count(), brute_cell_count(r)) << what;
+      Cells staged = ref;
+      for (std::size_t i = r.row_begin; i < r.row_hi(); ++i) {
+        for (std::size_t j = 0; j < r.col_hi(); ++j) {
+          if (i + j >= r.d_begin && i + j < r.d_end) staged[i * dim + j] = kPoison;
+        }
+      }
+      Cells dataflow = staged;
+      run_wavefront(r, pool, kernel, bytes(dataflow));
+      ASSERT_EQ(dataflow, ref) << what;
+      Cells serial = staged;
+      run_serial_wavefront(r, kernel, bytes(serial));
+      ASSERT_EQ(serial, ref) << what;
+    }
+  }
+}
+
+TEST(DataflowWavefront, ColumnCappedRegionVisitsEachCellExactlyOnce) {
+  const std::size_t dim = 40;
+  std::vector<std::atomic<int>> hits(dim * dim);
+  ThreadPool pool(4);
+  const core::LoweredKernel count = lower_cell_kernel(
+      dim, 1,
+      [&](std::size_t i, std::size_t j, const std::byte*, const std::byte*, const std::byte*,
+          std::byte*) { hits[i * dim + j].fetch_add(1); });
+  std::vector<std::byte> storage(dim * dim);
+  const TiledRegion r{dim, 30, 60, 4, 12, 35, 21};
+  run_wavefront(r, pool, count, storage.data());
+  for (std::size_t i = 0; i < dim; ++i) {
+    for (std::size_t j = 0; j < dim; ++j) {
+      const bool in = i + j >= 30 && i + j < 60 && i >= 12 && i < 35 && j < 21;
+      EXPECT_EQ(hits[i * dim + j].load(), in ? 1 : 0) << i << "," << j;
+    }
+  }
+}
+
+TEST(DataflowWavefront, ColumnCapBeyondTheGridIsRejected) {
+  ThreadPool pool(2);
+  const std::size_t dim = 16;
+  Cells buf(dim * dim, 0);
+  EXPECT_THROW(run_wavefront(TiledRegion{dim, 0, 2 * dim - 1, 4, 0, 0, dim + 1}, pool,
+                             mix_lowered(dim), bytes(buf)),
+               std::invalid_argument);
 }
 
 // --- cost model ----------------------------------------------------------
@@ -314,6 +392,25 @@ TEST(DataflowWavefront, DispatcherSelectsScheduler) {
 TEST(DataflowWavefrontCost, ZeroForEmptyRegion) {
   const auto cpu = sim::make_i7_3820().cpu;
   EXPECT_DOUBLE_EQ(dataflow_wavefront_cost_ns(TiledRegion{10, 4, 4, 2}, cpu, 10.0, 16), 0.0);
+}
+
+// The cost models price what a capped region visits: a cap at dim is no
+// cap, and a tighter cap never costs more.
+TEST(DataflowWavefrontCost, ColumnCapIsPricedNotIgnored) {
+  const auto cpu = sim::make_i7_2600k().cpu;
+  const TiledRegion whole{256, 100, 300, 8, 40, 200};
+  TiledRegion at_dim = whole;
+  at_dim.col_end = 256;
+  TiledRegion capped = whole;
+  capped.col_end = 64;
+  for (const Scheduler s : {Scheduler::kBarrier, Scheduler::kDataflow}) {
+    EXPECT_EQ(wavefront_cost_ns(s, at_dim, cpu, 50.0, 16), wavefront_cost_ns(s, whole, cpu, 50.0, 16))
+        << scheduler_name(s);
+    EXPECT_LT(wavefront_cost_ns(s, capped, cpu, 50.0, 16), wavefront_cost_ns(s, whole, cpu, 50.0, 16))
+        << scheduler_name(s);
+  }
+  EXPECT_LT(serial_wavefront_cost_ns(capped, cpu, 50.0, 16),
+            serial_wavefront_cost_ns(whole, cpu, 50.0, 16));
 }
 
 TEST(DataflowWavefrontCost, MonotoneInTsize) {

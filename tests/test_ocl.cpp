@@ -39,10 +39,23 @@ TEST_F(OclTest, BufferBoundsChecked) {
   EXPECT_NO_THROW(b.write(8, data, 8));
 }
 
-TEST_F(OclTest, BufferFill) {
-  Buffer b(4);
-  b.fill(std::byte{0xCD});
+// reset() refills every byte and reuses the capacity it holds; residency
+// accounting counts bytes in use, so a buffer reset to 0 counts nothing.
+TEST_F(OclTest, BufferResetRefillsWithinCapacity) {
+  const std::size_t live0 = Buffer::live_bytes();
+  Buffer b(64);
+  const std::byte* storage = b.data();
+  b.reset(16, std::byte{0xCD});
+  EXPECT_EQ(b.size(), 16u);
   for (std::byte x : b.bytes()) EXPECT_EQ(x, std::byte{0xCD});
+  EXPECT_EQ(Buffer::live_bytes(), live0 + 16);
+  b.reset(0);
+  EXPECT_EQ(Buffer::live_bytes(), live0);
+  EXPECT_GE(b.capacity(), 64u);
+  b.reset(64, std::byte{0xAB});
+  EXPECT_EQ(b.data(), storage);  // no reallocation
+  for (std::byte x : b.bytes()) EXPECT_EQ(x, std::byte{0xAB});
+  EXPECT_EQ(Buffer::live_bytes(), live0 + 64);
 }
 
 TEST_F(OclTest, WriteTransfersChargePcieAndQueue) {

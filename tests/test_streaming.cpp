@@ -334,9 +334,18 @@ TEST(Checkpoint, SerializeDeserializeRoundTrip) {
   std::vector<std::byte> truncated(bytes.begin(), bytes.end() - 5);
   EXPECT_THROW(RunCheckpoint::deserialize(truncated), CheckpointError);
 
-  EXPECT_THROW(cp.validate_against("other-program", 4, 2), CheckpointError);
-  EXPECT_THROW(cp.validate_against(cp.program_digest, 5, 2), CheckpointError);
-  cp.validate_against(cp.program_digest, 4, 2);
+  // Resume validation: digest, geometry and cursor against the program.
+  const InputParams in{4, 1.0, 1};
+  const PhaseProgram program = apply_strips(make_cpu_only_program(in, 2, 2), 2);
+  cp.program_digest = program.describe();
+  cp.strip_index = 2;  // phase 1 has two strips: both complete
+  cp.validate_against(program, 2);
+  EXPECT_THROW(cp.validate_against(apply_strips(make_cpu_only_program(in, 2, 2), 3), 2),
+               CheckpointError);
+  EXPECT_THROW(cp.validate_against(program, 4), CheckpointError);
+  RunCheckpoint other_dim = cp;
+  other_dim.dim = 5;
+  EXPECT_THROW(other_dim.validate_against(program, 2), CheckpointError);
 }
 
 // Length fields near 2^64 must not wrap the bounds check, and a geometry
@@ -424,6 +433,73 @@ TEST(StreamedExecution, ResumeFromMidRunCheckpointReproducesGridAndTiming) {
     EXPECT_THROW(ex.run(app.spec, other, g, nullptr, nullptr, nullptr, &wrong),
                  CheckpointError);
   }
+}
+
+// A resume cursor outside the program is a typed error, never a run that
+// skips work and returns an incomplete grid. Each case starts from a real
+// strip checkpoint of the run, so the digest and geometry match.
+struct CursorCase {
+  WavefrontSpec spec;
+  PhaseProgram program;
+  std::vector<RunCheckpoint> checkpoints;
+};
+
+CursorCase cursor_case(HybridExecutor& ex, const TunableParams& params) {
+  CursorCase c{small_apps(33).front().spec, {}, {}};
+  c.program = apply_strips(plan_phases(c.spec.inputs(), params), 7, 2);
+  StreamControl record;
+  record.on_checkpoint = [&](const RunCheckpoint& cp) { c.checkpoints.push_back(cp); };
+  Grid g(c.spec.dim, c.spec.elem_bytes);
+  ex.run(c.spec, c.program, g, nullptr, nullptr, nullptr, &record);
+  return c;
+}
+
+void expect_resume_refused(HybridExecutor& ex, const CursorCase& c, const RunCheckpoint& cp) {
+  StreamControl resume;
+  resume.resume = &cp;
+  Grid g(c.spec.dim, c.spec.elem_bytes);
+  g.fill_poison();
+  EXPECT_THROW(ex.run(c.spec, c.program, g, nullptr, nullptr, nullptr, &resume),
+               CheckpointError)
+      << "phase " << cp.phase_index << " strip " << cp.strip_index << " of "
+      << c.program.describe();
+}
+
+TEST(Checkpoint, ResumePhasePastTheProgramIsRejected) {
+  HybridExecutor ex(sim::make_i7_2600k(), 2);
+  const CursorCase c = cursor_case(ex, TunableParams{4, 20, -1, 5});
+  ASSERT_FALSE(c.checkpoints.empty());
+  RunCheckpoint cp = c.checkpoints.front();
+  cp.phase_index = c.program.phases.size();
+  cp.strip_index = 0;
+  expect_resume_refused(ex, c, cp);
+}
+
+TEST(Checkpoint, ResumeStripPastThePhaseIsRejected) {
+  HybridExecutor ex(sim::make_i7_2600k(), 2);
+  const CursorCase c = cursor_case(ex, TunableParams{4, 20, -1, 5});
+  ASSERT_FALSE(c.checkpoints.empty());
+  RunCheckpoint cp = c.checkpoints.front();
+  const PhaseDesc& ph = c.program.phases[cp.phase_index];
+  ASSERT_TRUE(ph.streamed());
+  cp.strip_index = ph.strip_count(c.spec.dim) + 1;
+  expect_resume_refused(ex, c, cp);
+}
+
+TEST(Checkpoint, ResumeStripOnAWholeGridPhaseIsRejected) {
+  // apply_strips leaves the dual-GPU phase whole-grid: it has no strips.
+  HybridExecutor ex(sim::make_i7_2600k(), 2);
+  const CursorCase c = cursor_case(ex, TunableParams{4, 20, 3, 1});
+  ASSERT_FALSE(c.checkpoints.empty());
+  std::size_t whole = c.program.phases.size();
+  for (std::size_t p = 0; p < c.program.phases.size(); ++p) {
+    if (!c.program.phases[p].streamed()) whole = p;
+  }
+  ASSERT_LT(whole, c.program.phases.size()) << c.program.describe();
+  RunCheckpoint cp = c.checkpoints.front();
+  cp.phase_index = whole;
+  cp.strip_index = 1;
+  expect_resume_refused(ex, c, cp);
 }
 
 TEST(StreamedExecution, CheckpointCadenceHonoursEveryStrips) {

@@ -100,7 +100,7 @@ TEST_P(TiledEqualsSerial, FullGrid) {
 
   PathGrid tiled(dim);
   ThreadPool pool(4);
-  run_wavefront(Scheduler::kBarrier, TiledRegion{dim, 0, 2 * dim - 1, tile}, pool, tiled.kernel,
+  run_wavefront(TiledRegion{dim, 0, 2 * dim - 1, tile}, pool, tiled.kernel,
                 tiled.data());
   EXPECT_EQ(serial.v, tiled.v);
 }
@@ -128,7 +128,7 @@ TEST_P(PhaseSplitSeamless, TwoCuts) {
   ThreadPool pool(2);
   for (const TiledRegion& r : {TiledRegion{dim, 0, a, 3}, TiledRegion{dim, a, b, 5},
                                TiledRegion{dim, b, total, 2}}) {
-    run_wavefront(Scheduler::kBarrier, r, pool, phased.kernel, phased.data());
+    run_wavefront(r, pool, phased.kernel, phased.data());
   }
   EXPECT_EQ(one_pass.v, phased.v);
 }
@@ -150,7 +150,7 @@ TEST(TiledWavefront, VisitsEachCellExactlyOnce) {
         ++hits[i * dim + j];
       });
   std::vector<std::byte> storage(dim * dim);
-  run_wavefront(Scheduler::kBarrier, TiledRegion{dim, 3, 20, 4}, pool, count, storage.data());
+  run_wavefront(TiledRegion{dim, 3, 20, 4}, pool, count, storage.data());
   for (std::size_t i = 0; i < dim; ++i) {
     for (std::size_t j = 0; j < dim; ++j) {
       const int expected = (i + j >= 3 && i + j < 20) ? 1 : 0;
@@ -255,7 +255,7 @@ TEST(RowSegmentDispatch, TiledMatchesSerialValues) {
       run_serial_wavefront(TiledRegion{dim, d0, d1, 1}, kernel,
                            reinterpret_cast<std::byte*>(ref.data()));
       std::vector<std::uint64_t> got(dim * dim, 0);
-      run_wavefront(Scheduler::kBarrier, TiledRegion{dim, d0, d1, tile}, pool, kernel,
+      run_wavefront(TiledRegion{dim, d0, d1, tile}, pool, kernel,
                     reinterpret_cast<std::byte*>(got.data()));
       EXPECT_EQ(ref, got) << "tile=" << tile << " d=[" << d0 << "," << d1 << ")";
     }
@@ -275,7 +275,7 @@ TEST(RowSegmentDispatch, SegmentsNeverCrossTileOrBandBoundaries) {
         segs.push_back({i, j0, j1});
       });
   std::vector<std::byte> storage(region.dim * region.dim);
-  run_wavefront(Scheduler::kBarrier, region, pool, kernel, storage.data());
+  run_wavefront(region, pool, kernel, storage.data());
   std::size_t cells = 0;
   for (const auto& [i, j0, j1] : segs) {
     ASSERT_LT(j0, j1);
@@ -287,47 +287,6 @@ TEST(RowSegmentDispatch, SegmentsNeverCrossTileOrBandBoundaries) {
     cells += j1 - j0;
   }
   EXPECT_EQ(cells, region.cell_count());
-}
-
-// tile_grain is calibrated for one-call-per-tile lowered dispatch: a
-// diagonal whose whole work is under ~1024 cells runs INLINE (one grain
-// covering the range — a pool wakeup costs more than the work; the
-// threshold is cell-count-based, so it stays small enough that even an
-// expensive kernel serializes at most one claim's worth); once the pool
-// is engaged, claims batch up to ~512 cells each, capped by fairness
-// (keep every worker fed). Pin the behaviour at the extremes so
-// recalibrations are deliberate.
-TEST(TileGrain, TinyDiagonalsRunInline) {
-  // 8 cells of work: returning the full range makes parallel_for skip
-  // the pool entirely.
-  EXPECT_EQ(tile_grain(8, 1, 4), 8u);
-  EXPECT_EQ(tile_grain(64, 1, 1), 64u);
-  // 4 tiles of 16x16 = 1024 cells: still inline.
-  EXPECT_EQ(tile_grain(4, 16, 4), 4u);
-  // One more tile crosses the threshold: the pool engages, and the
-  // fairness cap (5 / (2*4) -> 1) takes over for so short a diagonal.
-  EXPECT_EQ(tile_grain(5, 16, 4), 1u);
-  // A long diagonal batches ceil(512/256) = 2 tiles per claim.
-  EXPECT_EQ(tile_grain(17, 16, 4), 2u);
-}
-
-TEST(TileGrain, TinyTilesBatchUpToTheCellFloor) {
-  // 1x1 tiles: 1000 cells of work is still under the inline threshold...
-  EXPECT_EQ(tile_grain(1000, 1, 4), 1000u);
-  // ...but past it the pool engages and claims batch to the 512-cell
-  // floor (fairness cap 10000 / (2*4) = 1250 doesn't bind).
-  EXPECT_EQ(tile_grain(10000, 1, 4), 512u);
-  // A long diagonal of 4x4 tiles wants ceil(512/16) = 32 per claim.
-  EXPECT_EQ(tile_grain(2000, 4, 4), 32u);
-}
-
-TEST(TileGrain, HugeTilesClaimOneAtATime) {
-  // 23^2 = 529 >= 512: one tile already amortizes the claim.
-  EXPECT_EQ(tile_grain(2000, 23, 4), 1u);
-  EXPECT_EQ(tile_grain(2000, 64, 4), 1u);
-  EXPECT_EQ(tile_grain(2000, 1024, 4), 1u);
-  // Zero workers (degenerate serial pool): no batching decision to make.
-  EXPECT_EQ(tile_grain(2000, 1, 0), 1u);
 }
 
 }  // namespace
